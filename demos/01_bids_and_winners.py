@@ -3,9 +3,10 @@
 Three ground terminals report their aggregate demand rate for the two
 epochs at which spot beams will free up. Each bid is the beam's spare
 capacity if it served that terminal (capacity minus demand, never below
-zero), so a low bid means a well-utilized beam. Winner determination
-pads the bid matrix to square with a dummy cost larger than any bid,
-solves the square assignment problem, and drops the dummy pairs.
+zero), so a low bid means a well-utilized beam. The paper pads the bid
+matrix to square with a dummy cost larger than any bid and drops the
+dummy pairs after solving; the solver reaches the same optimum without
+padding, searching from the beams.
 """
 
 import numpy as np

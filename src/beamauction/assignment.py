@@ -1,17 +1,30 @@
 """Minimum-cost bipartite assignment.
 
-The square solver is an O(n^3) shortest-augmenting-path method that also
-returns dual potentials. Rectangular bid matrices are squared up with
-constant-cost dummy rows or columns before solving; dummy pairs are
-stripped from the result and totals are computed over real pairs only,
-so the dummy cost never leaks into reported totals.
+One kernel serves every solve. It is the rectangular shortest-augmenting-
+path method of Jonker & Volgenant (Computing 38, 1987) in the form given
+by Crouse (IEEE TAES 52(4), 2016): Dijkstra searches start from the short
+side of the bid matrix (beams when M >= N) and scan the long side with
+numpy masks, so a solve costs O(N^2 M) and never builds a square matrix.
+Forbidden pairs are +inf entries. When they leave no assignment that
+serves the whole short side, the solve is re-run as an explicit
+maximum-cardinality fallback whose searches start from every free vertex
+at once; it returns the cheapest assignment of the largest feasible size.
 
-Tie-breaking is deterministic everywhere: among equal-cost optima, the
-assignment whose (beam, terminal) pairs, sorted by beam, compare
-lexicographically smallest is returned. The potentials make this exact:
-every edge of an equal-cost optimum has zero reduced cost, so the
-canonical optimum is the lexicographically smallest perfect matching of
-the tight-edge subgraph.
+Tie-breaking is deterministic: among equal-cost optima, the assignment
+whose (beam, terminal) pairs, sorted by beam, compare lexicographically
+smallest is returned, a beam left unserved ranking after every terminal.
+The dual potentials make this exact. An assignment is optimal exactly
+when it uses only zero-reduced-cost ("tight") edges, has the optimal
+cardinality and serves every vertex whose potential is strictly below
+its side's slack level, so the canonical optimum is the lexicographically
+smallest such matching of the tight graph. Tightness is judged up to the
+rounding the potential updates can accumulate, and a tie-break swap that
+would raise the re-summed total is refused.
+
+Totals are summed over matched pairs in beam order. ``dummy_cost`` and
+:func:`pad_to_square` keep the paper's padded formulation available:
+the unpadded optimum equals the padded one for every valid dummy cost,
+so the argument is validated and otherwise has no effect.
 
 ``brute_force_min_assignment`` is the enumeration oracle used by the
 test suite; it shares the tie-break but nothing else with the solver.
@@ -39,12 +52,6 @@ __all__ = [
 
 _INF = float("inf")
 
-# Reduced-cost slack treated as tight, relative to the largest entry.
-# Exact ties (the only ones the tie-break has to arbitrate in practice)
-# produce exactly-zero reduced costs, so this only has to absorb float
-# dust from the potential updates.
-_TIGHT_RTOL = 1e-12
-
 _ORACLE_MAX_DIM = 8
 _ORACLE_MAX_SIDE = 512  # column recursion depth; stays clear of the stack limit
 
@@ -67,8 +74,23 @@ class PaddedMatrix:
 
 
 def default_dummy_cost(bids: BidMatrix | np.ndarray | Sequence) -> float:
-    """Smallest conforming integer dummy cost: floor(max bid) + 1."""
-    return float(math.floor(as_bid_matrix(bids).max_bid) + 1)
+    """Smallest conforming integer dummy cost, floor(max bid) + 1.
+
+    Above 2**53 that sum rounds back onto the largest bid, so the next
+    float above the largest bid is returned instead.
+    """
+    top = as_bid_matrix(bids).max_bid
+    return max(float(math.floor(top) + 1), math.nextafter(top, _INF))
+
+
+def _check_dummy_cost(bids: BidMatrix, dummy_cost: float) -> float:
+    dummy_cost = float(dummy_cost)
+    if not math.isfinite(dummy_cost) or dummy_cost <= bids.max_bid:
+        raise ValueError(
+            f"dummy cost {dummy_cost} must be finite and strictly greater "
+            f"than the largest bid {bids.max_bid}"
+        )
+    return dummy_cost
 
 
 def pad_to_square(
@@ -80,12 +102,7 @@ def pad_to_square(
     could displace a real one and corrupt optimality.
     """
     bids = as_bid_matrix(bids)
-    dummy_cost = float(dummy_cost)
-    if not math.isfinite(dummy_cost) or dummy_cost <= bids.max_bid:
-        raise ValueError(
-            f"dummy cost {dummy_cost} must be finite and strictly greater "
-            f"than the largest bid {bids.max_bid}"
-        )
+    dummy_cost = _check_dummy_cost(bids, dummy_cost)
     m, n = bids.values.shape
     size = max(m, n)
     values = np.full((size, size), dummy_cost, dtype=float)
@@ -94,167 +111,262 @@ def pad_to_square(
     return PaddedMatrix(base=bids.values, dummy_cost=dummy_cost, values=values)
 
 
-def _shortest_path_assignment(
-    cost: list[list[float]],
-) -> tuple[list[int], list[float], list[float]]:
-    """Min-cost perfect matching on a square cost matrix.
+def _shortest_augmenting_paths(
+    cost: np.ndarray, max_cardinality: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """Cheapest matching of an n x m matrix, n <= m, that serves every row.
 
-    Returns ``(row_of_col, u, v)``: the matched row for every column plus
-    dual potentials with ``u[i] + v[j] <= cost[i][j]`` (up to roundoff)
-    and equality on matched pairs.
+    Rows are the short side; ``+inf`` marks a forbidden pair. Each
+    Dijkstra search starts from the next free row and ends at the nearest
+    free column. If one finds no free column, no matching serves every
+    row and None is returned, unless ``max_cardinality`` is set: then
+    every search starts from all free rows at once, which sit at a common
+    potential ``level``, and the first search that finds no free column
+    ends the solve with the cheapest matching of the largest feasible
+    size.
+
+    Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
+    unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
+    equality on matched pairs, ``v <= 0`` with ``v == 0`` on free
+    columns, and ``u <= level`` with equality on free rows.
     """
-    n = len(cost)
-    # 1-based scratch arrays; column 0 is the virtual start of each
-    # augmenting search.
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row matched to column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m)
+    col4row = [-1] * n
+    row4col = [-1] * m
+    free_rows = list(range(n))
+    level = 0.0
+    while free_rows:
+        # Distances of the unscanned columns from the source rows; a
+        # scanned column's entry is +inf and its distance is in ``dists``.
+        if max_cardinality:
+            sources = np.array(free_rows)
+            block = cost[sources]
+            pick = block.argmin(axis=0)
+            pending = block[pick, np.arange(m)] - level - v
+            path = sources[pick]
+        else:
+            pending = cost[free_rows[0]] - v
+            path = None  # every column is reached from the source row
+        scanned: list[int] = []
+        dists: list[float] = []
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = _INF
-            j1 = 0
-            row = cost[i0 - 1]
-            u_i0 = u[i0]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u_i0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
+            j = int(pending.argmin())
+            delta = float(pending[j])
+            if delta == _INF:  # no free column is reachable
+                if not max_cardinality:
+                    return None
+                u[free_rows] = level
+                return np.array(col4row), np.array(row4col), u, v, level
+            i = row4col[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    row_of_col = [match[j] - 1 for j in range(1, n + 1)]
-    return row_of_col, u[1:], v[1:]
+            scanned.append(j)
+            dists.append(delta)
+            pending[j] = _INF
+            reduced = cost[i] - v
+            reduced += delta - u[i]
+            reduced[scanned] = _INF
+            if path is None:
+                path = np.full(m, free_rows[0])
+            path[reduced < pending] = i
+            np.minimum(pending, reduced, out=pending)
+
+        for c, dist in zip(scanned, dists):
+            v[c] -= delta - dist
+            u[row4col[c]] += delta - dist
+        while True:
+            i = free_rows[0] if path is None else int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if j < 0:
+                break
+        # ``i`` is the source row the path started from.
+        free_rows.remove(i)
+        if max_cardinality:
+            level += delta
+            u[i] = level
+        else:
+            u[i] = delta
+    return np.array(col4row), np.array(row4col), u, v, level
+
+
+def _resum(values: np.ndarray, term: Sequence[int]) -> float:
+    """Total of the matched bids, added in beam order."""
+    total = 0.0
+    for j, i in enumerate(term):
+        if i >= 0:
+            total += float(values[i, j])
+    return total
+
+
+def _handover_tree(
+    tight: np.ndarray,
+    rows: dict[int, list[bool]],
+    term: list[int],
+    served_t: np.ndarray,
+    optional_t: list[bool],
+    optional_b: list[bool],
+    fixed_b: list[bool],
+    target: int,
+) -> dict[int, int]:
+    """Breadth-first search, backwards from beam ``target``, over handovers.
+
+    Node ``n`` stands for every dummy beam: as in the padded formulation,
+    an unserved terminal sits on a dummy beam and an unserved beam on a
+    dummy terminal. Beam node ``x`` hands over to node ``y`` when ``x``
+    takes ``y``'s partner, which leaves ``y`` to find a new one. ``x`` may
+    take a terminal over a tight edge (a dummy beam may take any optional
+    terminal) and, if ``x`` is optional, a dummy terminal.
+
+    Returns, for every node whose chain of handovers can end by taking
+    ``target``'s partner, the node it hands over to first.
+    """
+    m, n = tight.shape
+    nxt = {target: target}
+    queue = [target]
+    dummy_beams = not served_t.all()
+    dummy_terminals_seen = False
+    for y in queue:
+        if y == n:
+            takers = tight[~served_t].any(axis=0).nonzero()[0].tolist()
+        elif term[y] >= 0:
+            x_t = term[y]
+            if x_t not in rows:
+                rows[x_t] = tight[x_t].tolist()
+            row = rows[x_t]
+            takers = [x for x in range(n) if row[x]]
+            if optional_t[x_t] and dummy_beams:
+                takers.append(n)
+        elif dummy_terminals_seen:
+            continue  # every unserved beam has the same takers
+        else:
+            dummy_terminals_seen = True
+            takers = [x for x in range(n) if optional_b[x]]
+        for x in takers:
+            if x not in nxt and (x == n or not fixed_b[x]):
+                nxt[x] = y
+                queue.append(x)
+    return nxt
 
 
 def _lex_min_matching(
-    cost: list[list[float]],
-    row_of_col: list[int],
-    u: list[float],
-    v: list[float],
-    n_real_rows: int,
-    n_real_cols: int,
-    forbidden0: frozenset[tuple[int, int]],
-    eps: float,
+    values: np.ndarray,
+    tight: np.ndarray,
+    term_of: np.ndarray,
+    optional_t: np.ndarray,
+    optional_b: np.ndarray,
 ) -> list[int]:
     """Rearrange an optimal matching into the canonical equal-cost one.
 
-    Walks real columns in ascending order and, for each, swaps in the
-    smallest real row that still admits a perfect matching over tight
-    edges. Every perfect matching of the tight subgraph has the same
-    cost, so the total is preserved.
+    ``tight`` is the M x N tight graph, ``term_of`` the terminal serving
+    each beam (-1 when unserved), and ``optional_t`` / ``optional_b`` mark
+    the vertices an optimal matching may leave unserved. Beams are fixed
+    in ascending order, each to the smallest terminal that still admits
+    an optimal completion, else to no terminal. Completions are found by
+    one iterative breadth-first search per beam over the beams, not the
+    terminals; a swap that would raise the re-summed total is refused.
     """
-    n = len(cost)
-    row_of_col = list(row_of_col)
-    col_of_row: list[int | None] = [None] * n
-    for j, i in enumerate(row_of_col):
-        col_of_row[i] = j
+    m, n = tight.shape
+    term = term_of.tolist()
+    holder = [-1] * m
+    for j, i in enumerate(term):
+        if i >= 0:
+            holder[i] = j
+    served_t = np.zeros(m, dtype=bool)
+    served_t[term_of[term_of >= 0]] = True
+    optional_t, optional_b = optional_t.tolist(), optional_b.tolist()
+    fixed_t: set[int] = set()
+    fixed_b = [False] * n
+    rows: dict[int, list[bool]] = {}
+    total = _resum(values, term)
 
-    tight = [
-        [cost[i][j] - u[i] - v[j] <= eps for j in range(n)] for i in range(n)
-    ]
-    for j, i in enumerate(row_of_col):
-        tight[i][j] = True  # matched edges are tight by optimality
-
-    fixed_row = [False] * n
-
-    def rematch(col: int, visited: list[bool]) -> bool:
-        # Kuhn-style augmenting search for a free row, over tight edges.
-        for x in range(n):
-            if fixed_row[x] or visited[x] or not tight[x][col]:
-                continue
-            visited[x] = True
-            nxt = col_of_row[x]
-            if nxt is None or rematch(nxt, visited):
-                row_of_col[col] = x
-                col_of_row[x] = col
-                return True
-        return False
-
-    def try_fix(i: int, j: int) -> bool:
-        saved_roc = row_of_col.copy()
-        saved_cor = col_of_row.copy()
-        freed = row_of_col[j]
-        displaced = col_of_row[i]
-        row_of_col[j] = i
-        col_of_row[i] = j
-        col_of_row[freed] = None
-        visited = [False] * n
-        visited[i] = True  # pin the forced edge against the augmenting search
-        if displaced is None or rematch(displaced, visited):
-            return True
-        row_of_col[:] = saved_roc
-        col_of_row[:] = saved_cor
-        return False
-
-    for j in range(n_real_cols):
-        current = row_of_col[j]
-        current_is_real = current < n_real_rows and (current, j) not in forbidden0
-        limit = current if current_is_real else n_real_rows
-        for i in range(limit):
-            if fixed_row[i] or (i, j) in forbidden0 or not tight[i][j]:
-                continue
-            if try_fix(i, j):
-                break
-        final = row_of_col[j]
-        if final < n_real_rows and (final, j) not in forbidden0:
-            # Pin decided real pairs. A column left on a dummy row or a
-            # blocked edge stays unpinned: which row parks there is
-            # unobservable, and a later column may still need it.
-            fixed_row[final] = True
-
-    return row_of_col
-
-
-def _solve_padded(
-    bids: BidMatrix,
-    forbidden0: frozenset[tuple[int, int]],
-    dummy_cost: float | None,
-) -> Assignment:
-    m, n = bids.values.shape
-    z = default_dummy_cost(bids) if dummy_cost is None else float(dummy_cost)
-    padded = pad_to_square(bids, z)
-    size = padded.n
-    cost = padded.values.tolist()
-    # Sentinel for forbidden pairs: dominates any achievable total, so a
-    # blocked pair is matched only when nothing feasible remains.
-    blocked = z * (size + 1)
-    for i, j in forbidden0:
-        cost[i][j] = blocked
-
-    row_of_col, u, v = _shortest_path_assignment(cost)
-    eps = _TIGHT_RTOL * max(1.0, blocked if forbidden0 else z)
-    row_of_col = _lex_min_matching(cost, row_of_col, u, v, m, n, forbidden0, eps)
-
-    pairs: list[tuple[int, int]] = []
-    total = 0.0
     for j in range(n):
-        i = row_of_col[j]
-        if i < m and (i, j) not in forbidden0:
-            pairs.append((i + 1, j + 1))
-            total += float(bids.values[i, j])
-    return Assignment(tuple(pairs), total)
+        limit = term[j] if term[j] >= 0 else m
+        candidates = [
+            t for t in tight[:limit, j].nonzero()[0].tolist() if t not in fixed_t
+        ]
+        fixed_b[j] = True  # the beam being decided is no waypoint
+        if candidates:
+            nxt = _handover_tree(
+                tight, rows, term, served_t, optional_t, optional_b, fixed_b, j
+            )
+        for t in candidates:
+            x = holder[t] if holder[t] >= 0 else n
+            if x not in nxt:
+                continue
+            old_term, old_holder = term.copy(), holder.copy()
+            term[j], holder[t] = t, j
+            changed = [t]
+            while True:
+                y = nxt[x]
+                if x == n:  # a dummy beam takes y's terminal: it goes unserved
+                    holder[old_term[y]] = -1
+                    changed.append(old_term[y])
+                elif y == n:  # x takes an unserved terminal
+                    p = int((tight[:, x] & ~served_t).argmax())
+                    term[x], holder[p] = p, x
+                    changed.append(p)
+                elif old_term[y] < 0:  # x takes y's dummy terminal
+                    term[x] = -1
+                else:
+                    term[x], holder[old_term[y]] = old_term[y], x
+                    changed.append(old_term[y])
+                if y == j:
+                    break
+                x = y
+            swapped = _resum(values, term)
+            if swapped <= total:
+                total = swapped
+                for p in changed:
+                    served_t[p] = holder[p] >= 0
+                break
+            term, holder = old_term, old_holder
+        if term[j] >= 0:
+            fixed_t.add(term[j])
+    return term
+
+
+def _solve(
+    bids: BidMatrix,
+    forbidden0: frozenset[tuple[int, int]] = frozenset(),
+    tie_break: bool = True,
+) -> Assignment:
+    values = bids.values
+    m, n = values.shape
+    cost = values
+    if forbidden0:
+        cost = values.copy()
+        rows, cols = zip(*forbidden0)
+        cost[list(rows), list(cols)] = _INF
+    flip = m >= n  # search from the beams when they are the short side
+    short = np.ascontiguousarray(cost.T) if flip else cost
+    col4row, row4col, u, v, level = _shortest_augmenting_paths(
+        short
+    ) or _shortest_augmenting_paths(short, max_cardinality=True)
+    term_of = col4row if flip else row4col
+
+    if tie_break:
+        size = int((col4row >= 0).sum())
+        # Each potential moves once per augmentation, by a difference of
+        # values no larger than ``scale``; this bounds their rounding.
+        scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
+        eps = (2 * size + 2) * math.ulp(scale)
+        tight = (short - u[:, None] - v) <= eps
+        optional_short = (
+            u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
+        )
+        optional_long = v >= -eps
+        if flip:
+            tight, optional_t, optional_b = tight.T, optional_long, optional_short
+        else:
+            optional_t, optional_b = optional_short, optional_long
+        term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
+    else:
+        term = term_of.tolist()
+    pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
+    return Assignment(pairs, _resum(values, term))
 
 
 def solve_square(
@@ -273,16 +385,8 @@ def solve_square(
         raise ValueError("cost matrix entries must be finite")
     if np.any(values < 0):
         raise ValueError("cost matrix entries must be non-negative")
-    n = values.shape[0]
-    cost = values.tolist()
-    row_of_col, u, v = _shortest_path_assignment(cost)
-    eps = _TIGHT_RTOL * max(1.0, float(values.max()))
-    row_of_col = _lex_min_matching(cost, row_of_col, u, v, n, n, frozenset(), eps)
-    pairs = [(row_of_col[j] + 1, j + 1) for j in range(n)]
-    total = 0.0
-    for j in range(n):
-        total += float(values[row_of_col[j], j])
-    return pairs, total
+    result = _solve(BidMatrix(values))
+    return list(result.pairs), result.total_cost
 
 
 def solve_rectangular(
@@ -290,12 +394,14 @@ def solve_rectangular(
 ) -> Assignment:
     """Optimal beam-saturating assignment of a rectangular bid matrix.
 
-    Pads to square (dummy cost floor(max bid) + 1 unless overridden),
-    solves, and strips dummy pairs; the reported total covers real pairs
-    only. When M >= N every beam is assigned; when N > M every terminal
-    is.
+    When M >= N every beam is assigned; when N > M every terminal is.
+    ``dummy_cost``, if given, must strictly exceed every bid, as in
+    :func:`pad_to_square`; the result does not depend on it.
     """
-    return _solve_padded(as_bid_matrix(bids), frozenset(), dummy_cost)
+    bids = as_bid_matrix(bids)
+    if dummy_cost is not None:
+        _check_dummy_cost(bids, dummy_cost)
+    return _solve(bids)
 
 
 def _check_forbidden(
@@ -317,16 +423,21 @@ def solve_rectangular_forbidden(
     bids: BidMatrix | np.ndarray | Sequence,
     forbidden: Collection[tuple[int, int]],
     dummy_cost: float | None = None,
+    *,
+    tie_break: bool = True,
 ) -> Assignment:
     """Like :func:`solve_rectangular` but ``forbidden`` pairs cannot win.
 
-    Forbidden entries are overwritten with a sentinel cost large enough
-    that no optimum uses them unless the instance is otherwise
-    infeasible; in that case the unreachable beams are dropped and the
-    best maximum-cardinality assignment is returned (possibly empty).
+    If the forbidden pairs leave no assignment that serves the whole
+    short side, the best assignment of the largest feasible cardinality
+    is returned (possibly empty). With ``tie_break=False`` the pairs are
+    an optimal assignment but not necessarily the canonical one; the
+    total is the same, and the canonical tie-break is skipped.
     """
     bids = as_bid_matrix(bids)
-    return _solve_padded(bids, _check_forbidden(bids, forbidden), dummy_cost)
+    if dummy_cost is not None:
+        _check_dummy_cost(bids, dummy_cost)
+    return _solve(bids, _check_forbidden(bids, forbidden), tie_break)
 
 
 def _max_matching_size(allowed: list[list[bool]], m: int, n: int) -> int:

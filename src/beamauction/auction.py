@@ -35,12 +35,15 @@ def payment(
     Re-solves the auction with the pair excluded and returns that total
     minus the winning total without the pair's own bid. Evaluates to
     exactly zero for non-winning pairs; for winning pairs it is at least
-    the pair's bid whenever the re-solve can still serve every beam.
+    the pair's bid whenever the re-solve can still serve every beam. Only
+    the re-solve's total is read, so it skips the canonical tie-break.
     """
     bids = as_bid_matrix(bids)
     bid = bids.bid(terminal, beam)  # also validates bounds
     x = 1.0 if (terminal, beam) in winners.pair_set else 0.0
-    without = solve_rectangular_forbidden(bids, [(terminal, beam)]).total_cost
+    without = solve_rectangular_forbidden(
+        bids, [(terminal, beam)], tie_break=False
+    ).total_cost
     return without - (winners.total_cost - x * bid)
 
 

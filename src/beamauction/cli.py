@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import (
+    _ORACLE_MAX_DIM,
     brute_force_min_assignment,
     default_dummy_cost,
     solve_rectangular,
@@ -40,9 +41,6 @@ __all__ = [
     "main",
     "entry_point",
 ]
-
-_ORACLE_LIMIT = 8
-
 
 class BidMatrixParseError(ValueError):
     """A bid-matrix file could not be parsed; the message names the cell."""
@@ -225,10 +223,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_dim > _ORACLE_LIMIT:
+    if args.max_dim > _ORACLE_MAX_DIM:
         print(
             f"error: --max-dim {args.max_dim} exceeds the brute-force oracle "
-            f"limit of {_ORACLE_LIMIT}",
+            f"limit of {_ORACLE_MAX_DIM}",
             file=sys.stderr,
         )
         return 2

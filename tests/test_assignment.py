@@ -1,10 +1,12 @@
-"""Assignment solvers: square, padded rectangular, forbidden pairs, oracle.
+"""Assignment solvers: square, rectangular, forbidden pairs, oracle.
 
 Derived expected values below were computed with the brute-force
 enumeration oracle and frozen; the property tests then hammer the solver
 against the oracle on random instances, including tie-heavy integer
 matrices where the lexicographic tie-break does real work.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +76,15 @@ class TestPadToSquare:
         with pytest.raises(ValueError):
             pad_to_square([[1.0]], np.inf)
 
+    def test_default_dummy_cost_exceeds_bids_beyond_two_to_the_53(self):
+        # floor(1e16) + 1 rounds back to 1e16 in floating point.
+        bids = [[1e16], [0.0]]
+        z = default_dummy_cost(bids)
+        assert z > 1e16
+        padded = pad_to_square(bids, z)
+        assert padded.values.tolist() == [[1e16, z], [0.0, z]]
+        assert default_dummy_cost([[4.5, 2.0]]) == 5.0
+
 
 class TestSolveRectangular:
     def test_three_terminals_two_beams(self):
@@ -101,6 +112,29 @@ class TestSolveRectangular:
         with pytest.raises(ValueError, match="strictly greater"):
             solve_rectangular([[4, 2], [1, 3], [5, 6]], dummy_cost=6.0)
 
+    def test_bids_beyond_two_to_the_53_are_solved(self):
+        result = solve_rectangular([[1e16], [0.0]])
+        assert result.pairs == ((2, 1),)
+        assert result.total_cost == 0.0
+
+    def test_near_tie_at_large_scale_keeps_the_cheaper_matching(self):
+        # The two matchings differ by 1e-7 on a 1e6 scale; a tie tolerance
+        # proportional to the bids would swap in the costlier one.
+        bids = [[1e6, 1e6 - 1e-7], [0.0, 0.0]]
+        result = solve_rectangular(bids)
+        assert result.pairs == ((2, 1), (1, 2))
+        assert result.total_cost == 999999.9999999
+        assert result == brute_force_min_assignment(bids)
+
+    def test_free_terminal_with_nonzero_potential_stays_served(self):
+        # Terminal 4 must keep a beam in every optimum; a tie-break that
+        # frees it over tight edges returns total 2.0.
+        bids = [[3, 3], [1, 2], [2, 1], [0, 0], [1, 1], [2, 1]]
+        result = solve_rectangular(bids)
+        assert result == brute_force_min_assignment(bids)
+        assert result.pairs == ((2, 1), (4, 2))
+        assert result.total_cost == 1.0
+
 
 class TestSolveRectangularForbidden:
     def test_forbidding_a_winning_pair_forces_the_alternative(self):
@@ -123,6 +157,12 @@ class TestSolveRectangularForbidden:
     def test_out_of_bounds_forbidden_pair(self):
         with pytest.raises(ValueError, match="out of bounds"):
             solve_rectangular_forbidden([[1.0]], {(1, 2)})
+
+    def test_totals_only_resolve_keeps_the_total(self):
+        bids = [[4, 2], [1, 3], [5, 6]]
+        fast = solve_rectangular_forbidden(bids, {(2, 1)}, tie_break=False)
+        assert fast.total_cost == 7.0
+        assert len(fast) == 2 and (2, 1) not in fast.pair_set
 
 
 class TestBruteForceOracle:
@@ -196,6 +236,86 @@ class TestSolverAgainstOracle:
             got = solve_rectangular(bids).total_cost
             rows, cols = linear_sum_assignment(bids)
             assert abs(got - float(bids[rows, cols].sum())) <= 1e-9
+
+
+class TestKernelAgainstScipy:
+    """Sizes beyond the oracle's reach, checked against scipy's solver."""
+
+    @pytest.mark.parametrize("shape", [(300, 16), (1000, 16), (16, 300)])
+    def test_totals_at_large_sizes(self, shape):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = seeded_rng(110, *shape)
+        bids = draw_bids(rng, *shape)
+        result = solve_rectangular(bids)
+        rows, cols = linear_sum_assignment(bids)
+        assert len(result) == min(shape)
+        assert abs(result.total_cost - float(bids[rows, cols].sum())) <= 1e-9
+
+    def test_forbidden_cell_resolves_at_40x8(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = seeded_rng(111)
+        for _ in range(40):
+            bids = draw_tie_heavy_bids(rng, 40, 8, levels=20)
+            i, j = int(rng.integers(40)), int(rng.integers(8))
+            blocked = bids.copy()
+            blocked[i, j] = np.inf
+            rows, cols = linear_sum_assignment(blocked)
+            want = float(blocked[rows, cols].sum())
+            for tie_break in (True, False):
+                got = solve_rectangular_forbidden(
+                    bids, {(i + 1, j + 1)}, tie_break=tie_break
+                )
+                assert got.total_cost == want
+                assert (i + 1, j + 1) not in got.pair_set
+
+    def test_tall_tie_heavy_matrix_stays_within_the_recursion_limit(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = seeded_rng(112)
+        bids = draw_tie_heavy_bids(rng, 3000, 8)
+        limit = sys.getrecursionlimit()
+        result = solve_rectangular(bids)
+        assert sys.getrecursionlimit() == limit
+        rows, cols = linear_sum_assignment(bids)
+        assert result.total_cost == float(bids[rows, cols].sum())
+        assert len(result) == 8
+
+
+class TestBidScale:
+    """Exact results at every bid scale, not only for bids in [0, 150]."""
+
+    @pytest.mark.parametrize("exponent", range(-6, 13, 2))
+    def test_matches_oracle_at_scale(self, exponent):
+        rng = seeded_rng(113, exponent + 6)
+        scale = 10.0**exponent
+        for _ in range(60):
+            m, n = draw_dims(rng, 6)
+            for bids in (draw_bids(rng, m, n), draw_tie_heavy_bids(rng, m, n)):
+                bids = bids * scale
+                assert solve_rectangular(bids) == brute_force_min_assignment(bids)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.integers(1, m),
+                st.lists(st.integers(0, 2**12), min_size=m * 5, max_size=m * 5),
+            )
+        ),
+        st.integers(-20, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, case, k):
+        # Multiplying by 2**k is exact in floating point, so it must scale
+        # the total exactly and keep the pairs.
+        m, n, flat = case
+        bids = np.array(flat[: m * n], dtype=float).reshape(m, n) / 64.0
+        base = solve_rectangular(bids)
+        scaled = solve_rectangular(bids * 2.0**k)
+        assert scaled.pairs == base.pairs
+        assert scaled.total_cost == base.total_cost * 2.0**k
 
 
 class TestSolverProperties:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -92,7 +93,18 @@ class TestSolveCommand:
         assert captured.out.splitlines() == ["1,2,1.000000", "total,1.000000"]
 
 
+# sha256 of the report ``beamauction simulate`` writes with every default.
+REFERENCE_SWEEP_SHA256 = (
+    "db6817e4646ac46693866d397f5b83a95876b993936d48d48b09cdaef73d3cc2"
+)
+
+
 class TestSimulateCommand:
+    def test_default_sweep_reproduces_the_reference_report(self, tmp_path):
+        out = tmp_path / "ref.csv"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_SWEEP_SHA256
+
     def test_small_sweep_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")
         args = [
