@@ -113,17 +113,19 @@ def pad_to_square(
 
 def _shortest_augmenting_paths(
     cost: np.ndarray, max_cardinality: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """Cheapest matching of an n x m matrix, n <= m, that serves every row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Cheapest matching of an n x m matrix, n <= m, of the largest size.
 
     Rows are the short side; ``+inf`` marks a forbidden pair. Each
     Dijkstra search starts from the next free row and ends at the nearest
     free column. If one finds no free column, no matching serves every
-    row and None is returned, unless ``max_cardinality`` is set: then
-    every search starts from all free rows at once, which sit at a common
+    row, and the solve restarts with ``max_cardinality`` set: then every
+    search starts from all free rows at once, which sit at a common
     potential ``level``, and the first search that finds no free column
     ends the solve with the cheapest matching of the largest feasible
-    size.
+    size. The one-row start is kept for the common case because it is
+    one row scan: starting every search from all free rows made this
+    kernel about 4x slower on a 40 x 8 matrix and 40x on 10000 x 32.
 
     Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
     unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
@@ -156,7 +158,7 @@ def _shortest_augmenting_paths(
             delta = float(pending[j])
             if delta == _INF:  # no free column is reachable
                 if not max_cardinality:
-                    return None
+                    return _shortest_augmenting_paths(cost, max_cardinality=True)
                 u[free_rows] = level
                 return np.array(col4row), np.array(row4col), u, v, level
             i = row4col[j]
@@ -168,7 +170,7 @@ def _shortest_augmenting_paths(
             reduced = cost[i] - v
             reduced += delta - u[i]
             reduced[scanned] = _INF
-            if path is None:
+            if path is None:  # built on first use: most searches end at once
                 path = np.full(m, free_rows[0])
             path[reduced < pending] = i
             np.minimum(pending, reduced, out=pending)
@@ -331,7 +333,6 @@ def _lex_min_matching(
 def _solve(
     bids: BidMatrix,
     forbidden0: frozenset[tuple[int, int]] = frozenset(),
-    tie_break: bool = True,
 ) -> Assignment:
     values = bids.values
     m, n = values.shape
@@ -342,29 +343,24 @@ def _solve(
         cost[list(rows), list(cols)] = _INF
     flip = m >= n  # search from the beams when they are the short side
     short = np.ascontiguousarray(cost.T) if flip else cost
-    col4row, row4col, u, v, level = _shortest_augmenting_paths(
-        short
-    ) or _shortest_augmenting_paths(short, max_cardinality=True)
+    col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
     term_of = col4row if flip else row4col
 
-    if tie_break:
-        size = int((col4row >= 0).sum())
-        # Each potential moves once per augmentation, by a difference of
-        # values no larger than ``scale``; this bounds their rounding.
-        scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
-        eps = (2 * size + 2) * math.ulp(scale)
-        tight = (short - u[:, None] - v) <= eps
-        optional_short = (
-            u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
-        )
-        optional_long = v >= -eps
-        if flip:
-            tight, optional_t, optional_b = tight.T, optional_long, optional_short
-        else:
-            optional_t, optional_b = optional_short, optional_long
-        term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
+    size = int((col4row >= 0).sum())
+    # Each potential moves once per augmentation, by a difference of
+    # values no larger than ``scale``; this bounds their rounding.
+    scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
+    eps = (2 * size + 2) * math.ulp(scale)
+    tight = (short - u[:, None] - v) <= eps
+    optional_short = (
+        u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
+    )
+    optional_long = v >= -eps
+    if flip:
+        tight, optional_t, optional_b = tight.T, optional_long, optional_short
     else:
-        term = term_of.tolist()
+        optional_t, optional_b = optional_short, optional_long
+    term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
     pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
     return Assignment(pairs, _resum(values, term))
 
@@ -423,21 +419,17 @@ def solve_rectangular_forbidden(
     bids: BidMatrix | np.ndarray | Sequence,
     forbidden: Collection[tuple[int, int]],
     dummy_cost: float | None = None,
-    *,
-    tie_break: bool = True,
 ) -> Assignment:
     """Like :func:`solve_rectangular` but ``forbidden`` pairs cannot win.
 
     If the forbidden pairs leave no assignment that serves the whole
     short side, the best assignment of the largest feasible cardinality
-    is returned (possibly empty). With ``tie_break=False`` the pairs are
-    an optimal assignment but not necessarily the canonical one; the
-    total is the same, and the canonical tie-break is skipped.
+    is returned (possibly empty).
     """
     bids = as_bid_matrix(bids)
     if dummy_cost is not None:
         _check_dummy_cost(bids, dummy_cost)
-    return _solve(bids, _check_forbidden(bids, forbidden), tie_break)
+    return _solve(bids, _check_forbidden(bids, forbidden))
 
 
 def _max_matching_size(allowed: list[list[bool]], m: int, n: int) -> int:

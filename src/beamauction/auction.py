@@ -32,19 +32,18 @@ def payment(
 ) -> float:
     """Opportunity-cost payment for one (terminal, beam) pair.
 
-    Re-solves the auction with the pair excluded and returns that total
-    minus the winning total without the pair's own bid. Evaluates to
-    exactly zero for non-winning pairs; for winning pairs it is at least
-    the pair's bid whenever the re-solve can still serve every beam. Only
-    the re-solve's total is read, so it skips the canonical tie-break.
+    For a winning pair, re-solves the auction with the pair excluded and
+    returns that total minus the winning total without the pair's own
+    bid; it is at least the pair's bid whenever the re-solve can still
+    serve every beam. A non-winning pair pays exactly zero: excluding it
+    leaves the optimum unchanged, so no re-solve is run.
     """
     bids = as_bid_matrix(bids)
     bid = bids.bid(terminal, beam)  # also validates bounds
-    x = 1.0 if (terminal, beam) in winners.pair_set else 0.0
-    without = solve_rectangular_forbidden(
-        bids, [(terminal, beam)], tie_break=False
-    ).total_cost
-    return without - (winners.total_cost - x * bid)
+    if (terminal, beam) not in winners.pair_set:
+        return 0.0
+    without = solve_rectangular_forbidden(bids, [(terminal, beam)]).total_cost
+    return without - (winners.total_cost - bid)
 
 
 def run_auction(bids: BidMatrix | np.ndarray | Sequence) -> AuctionOutcome:

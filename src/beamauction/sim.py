@@ -16,7 +16,14 @@ import numpy as np
 
 from .auction import determine_winners
 from .baseline import greedy_allocate
-from .model import BidMatrix, ConfigurationError, Scenario, SpotBeam, UserTerminal
+from .model import (
+    ConfigurationError,
+    Scenario,
+    SpotBeam,
+    UserTerminal,
+    availability_order,
+    build_bid_matrix,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -169,18 +176,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for n_beams in config.beam_counts:
         vcg_avg = np.empty(config.replications)
         greedy_avg = np.empty(config.replications)
-        # Beams become available in id order, so that is greedy's order.
-        order = range(1, n_beams + 1)
         for rep in range(config.replications):
-            # The draw of generate_scenario, with each bid built straight
-            # from the demand array as compute_bid's max(0, cap - demand).
-            rng = np.random.default_rng(
-                _replication_seed(config.rng_seed, n_beams, rep)
+            scenario = generate_scenario(
+                config.n_terminals,
+                n_beams,
+                capacity=config.capacity,
+                demand_low=config.demand_low,
+                demand_high=config.demand_high,
+                seed=_replication_seed(config.rng_seed, n_beams, rep),
             )
-            demands = rng.uniform(
-                config.demand_low, config.demand_high, size=(config.n_terminals, n_beams)
-            )
-            bids = BidMatrix(np.maximum(0.0, float(config.capacity) - demands))
+            bids = build_bid_matrix(scenario)
+            order = availability_order(scenario.beams)
             vcg_avg[rep] = determine_winners(bids).total_cost / n_beams
             greedy_avg[rep] = greedy_allocate(bids, order).total_cost / n_beams
         rows.append(

@@ -158,12 +158,6 @@ class TestSolveRectangularForbidden:
         with pytest.raises(ValueError, match="out of bounds"):
             solve_rectangular_forbidden([[1.0]], {(1, 2)})
 
-    def test_totals_only_resolve_keeps_the_total(self):
-        bids = [[4, 2], [1, 3], [5, 6]]
-        fast = solve_rectangular_forbidden(bids, {(2, 1)}, tie_break=False)
-        assert fast.total_cost == 7.0
-        assert len(fast) == 2 and (2, 1) not in fast.pair_set
-
 
 class TestBruteForceOracle:
     def test_two_by_two(self):
@@ -263,12 +257,9 @@ class TestKernelAgainstScipy:
             blocked[i, j] = np.inf
             rows, cols = linear_sum_assignment(blocked)
             want = float(blocked[rows, cols].sum())
-            for tie_break in (True, False):
-                got = solve_rectangular_forbidden(
-                    bids, {(i + 1, j + 1)}, tie_break=tie_break
-                )
-                assert got.total_cost == want
-                assert (i + 1, j + 1) not in got.pair_set
+            got = solve_rectangular_forbidden(bids, {(i + 1, j + 1)})
+            assert got.total_cost == want
+            assert (i + 1, j + 1) not in got.pair_set
 
     def test_tall_tie_heavy_matrix_stays_within_the_recursion_limit(self):
         from scipy.optimize import linear_sum_assignment

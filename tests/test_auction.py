@@ -54,6 +54,18 @@ class TestPayment:
         assert payment(bids, winners, 1, 1) == 0.0
         assert payment(bids, winners, 2, 2) == 0.0
 
+    def test_loser_pays_zero_when_an_equal_cost_optimum_sums_differently(self):
+        # The winners (1,1),(2,2),(3,3) total 0.6; the equal-cost matching
+        # (3,1),(2,2),(1,3) sums to 0.6000000000000001 in beam order, so a
+        # re-solve that returned it would charge e.g. pair (2,1) 1.1e-16.
+        bids = [[0.3, 9.0, 0.3], [9.0, 0.2, 9.0], [0.1, 9.0, 0.1]]
+        winners = determine_winners(bids)
+        assert winners.pairs == ((1, 1), (2, 2), (3, 3))
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if (i, j) not in winners.pair_set:
+                    assert payment(bids, winners, i, j) == 0.0
+
     def test_out_of_bounds_pair(self):
         bids = [[1.0, 3.0], [2.0, 5.0]]
         winners = determine_winners(bids)
