@@ -374,14 +374,12 @@ def solve_square(
     column, plus the total cost. Ties between equal-cost optima break
     toward the lexicographically smallest (col, row) sequence.
     """
-    values = np.asarray(costs, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
-        raise ValueError("cost matrix must be square, 2-D and non-empty")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cost matrix entries must be finite")
-    if np.any(values < 0):
-        raise ValueError("cost matrix entries must be non-negative")
-    result = _solve(BidMatrix(values))
+    bids = as_bid_matrix(costs)
+    if bids.n_terminals != bids.n_beams:
+        raise ValueError(
+            f"cost matrix must be square, got {bids.n_terminals}x{bids.n_beams}"
+        )
+    result = _solve(bids)
     return list(result.pairs), result.total_cost
 
 
@@ -403,16 +401,10 @@ def solve_rectangular(
 def _check_forbidden(
     bids: BidMatrix, forbidden: Collection[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    for i, j in forbidden:
-        i, j = int(i), int(j)
-        if not (1 <= i <= bids.n_terminals and 1 <= j <= bids.n_beams):
-            raise ValueError(
-                f"forbidden pair ({i}, {j}) out of bounds for a "
-                f"{bids.n_terminals}x{bids.n_beams} bid matrix"
-            )
-        pairs.add((i - 1, j - 1))
-    return frozenset(pairs)
+    pairs = {(int(i), int(j)) for i, j in forbidden}
+    for i, j in pairs:
+        bids.bid(i, j)  # rejects a pair out of bounds
+    return frozenset((i - 1, j - 1) for i, j in pairs)
 
 
 def solve_rectangular_forbidden(

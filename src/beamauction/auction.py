@@ -80,8 +80,6 @@ def utility_of_report(
             f"reported row must have one entry per beam "
             f"({true_bids.n_beams}), got shape {row.shape}"
         )
-    if not np.all(np.isfinite(row)) or np.any(row < 0):
-        raise ValueError("reported bids must be non-negative and finite")
 
     reported = true_bids.values.copy()
     reported[terminal - 1, :] = row

@@ -2,10 +2,11 @@
 
 Subcommands:
 
-* ``solve``     reads a CSV bid matrix, print the winning pairs (and,
+* ``solve``     reads a CSV bid matrix and prints the winning pairs (and,
                   optionally, VCG payments).
-* ``simulate``  runs the beam-count sweep and write a plot-ready CSV
-                  comparing VCG with the greedy baseline.
+* ``simulate``  runs the beam-count sweep and writes a plot-ready CSV
+                  comparing VCG with the greedy baseline. Every setting
+                  not given keeps its :class:`ExperimentConfig` default.
 * ``verify``    cross-checks the solver, payments, and baseline against
                   the brute-force oracle on random instances.
 
@@ -17,6 +18,7 @@ configuration, or verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -31,7 +33,7 @@ from .assignment import (
 )
 from .auction import determine_winners, payment, run_auction
 from .baseline import greedy_allocate
-from .model import BidMatrix, ConfigurationError
+from .model import BidMatrix
 from .sim import ExperimentConfig, run_experiment
 
 __all__ = [
@@ -76,7 +78,7 @@ def parse_bid_matrix(text: str) -> BidMatrix:
                 )
             row.append(value)
         rows.append(row)
-    return BidMatrix(np.array(rows, dtype=float))
+    return BidMatrix(rows)
 
 
 def format_bid_matrix(bids: BidMatrix) -> str:
@@ -122,85 +124,67 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> tuple[int, ...]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {spec!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(spec),)
+def _beam_counts(spec: str | Sequence) -> Sequence[int]:
+    if isinstance(spec, (list, tuple)):
+        return spec  # ExperimentConfig converts each count
+    lo, dots, hi = str(spec).partition("..")
+    return range(int(lo), int(hi) + 1) if dots else (int(lo),)
 
 
-def _parse_demand(spec: str) -> tuple[float, float]:
-    parts = spec.split(",")
+def _demand_bounds(spec: str | Sequence) -> dict[str, float]:
+    parts = spec if isinstance(spec, (list, tuple)) else str(spec).split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected LOW,HIGH, got {spec!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"demand must be LOW,HIGH, got {spec!r}")
+    return {"demand_low": float(parts[0]), "demand_high": float(parts[1])}
+
+
+# Each simulate setting, given as a flag or a config key, as the
+# ExperimentConfig fields it sets; a setting not given keeps the field's
+# default.
+_SIMULATE_SETTINGS = {
+    "terminals": lambda v: {"n_terminals": int(v)},
+    "fasb_range": lambda v: {"beam_counts": _beam_counts(v)},
+    "capacity": lambda v: {"capacity": float(v)},
+    "demand": _demand_bounds,
+    "reps": lambda v: {"replications": int(v)},
+    "seed": lambda v: {"rng_seed": int(v)},
+}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = {
-        "terminals": args.terminals,
-        "fasb_range": args.fasb_range,
-        "capacity": args.capacity,
-        "demand": args.demand,
-        "reps": args.reps,
-        "seed": args.seed,
-    }
+    settings = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
+                settings = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
-        unknown = set(loaded) - set(settings)
+        if not isinstance(settings, dict):
+            print(
+                f"error: invalid configuration: {args.config} must hold a JSON "
+                f"object",
+                file=sys.stderr,
+            )
+            return 1
+        unknown = set(settings) - set(_SIMULATE_SETTINGS)
         if unknown:
             print(
                 f"error: unknown config keys: {', '.join(sorted(unknown))}",
                 file=sys.stderr,
             )
             return 1
-        for key, value in loaded.items():
-            if settings[key] is None:  # explicit flags override the file
-                settings[key] = value
-
-    defaults = {
-        "terminals": 30,
-        "fasb_range": "2..8",
-        "capacity": 150.0,
-        "demand": "50,150",
-        "reps": 100,
-        "seed": 42,
-    }
-    for key, value in defaults.items():
-        if settings[key] is None:
-            settings[key] = value
+    for key in _SIMULATE_SETTINGS:
+        if getattr(args, key) is not None:  # explicit flags override the file
+            settings[key] = getattr(args, key)
 
     try:
-        fasb = settings["fasb_range"]
-        beam_counts = (
-            tuple(int(n) for n in fasb)
-            if isinstance(fasb, (list, tuple))
-            else _parse_range(str(fasb))
-        )
-        demand = settings["demand"]
-        if isinstance(demand, (list, tuple)):
-            demand_low, demand_high = (float(demand[0]), float(demand[1]))
-        else:
-            demand_low, demand_high = _parse_demand(str(demand))
-        config = ExperimentConfig(
-            n_terminals=int(settings["terminals"]),
-            beam_counts=beam_counts,
-            capacity=float(settings["capacity"]),
-            demand_low=demand_low,
-            demand_high=demand_high,
-            replications=int(settings["reps"]),
-            rng_seed=int(settings["seed"]),
-        )
-    except (ValueError, ConfigurationError) as exc:
+        fields = {}
+        for key, value in settings.items():
+            if value is not None:
+                fields.update(_SIMULATE_SETTINGS[key](value))
+        config = ExperimentConfig(**fields)
+    except (TypeError, ValueError, OverflowError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 
@@ -294,7 +278,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == args.cases else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beamauction",
         description=(
@@ -315,22 +300,43 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
+    sweep = ExperimentConfig()
     p_sim = sub.add_parser(
         "simulate", help="sweep beam counts and write a VCG-vs-greedy report"
     )
     p_sim.add_argument("--config", help="JSON config file (flags override it)")
-    p_sim.add_argument("--terminals", type=int, help="number of terminals (default 30)")
+    p_sim.add_argument(
+        "--terminals",
+        type=int,
+        help=f"number of terminals (default {sweep.n_terminals})",
+    )
     p_sim.add_argument(
         "--fasb-range",
-        help="beam counts to sweep, e.g. 2..8 or a single count (default 2..8)",
+        help=(
+            f"beam counts to sweep, LOW..HIGH or a single count (default "
+            f"{sweep.beam_counts[0]}..{sweep.beam_counts[-1]})"
+        ),
     )
-    p_sim.add_argument("--capacity", type=float, help="beam capacity in Mbps (default 150)")
+    p_sim.add_argument(
+        "--capacity",
+        type=float,
+        help=f"beam capacity in Mbps (default {sweep.capacity:g})",
+    )
     p_sim.add_argument(
         "--demand",
-        help="uniform demand bounds LOW,HIGH in Mbps (default 50,150)",
+        help=(
+            f"uniform demand bounds LOW,HIGH in Mbps (default "
+            f"{sweep.demand_low:g},{sweep.demand_high:g})"
+        ),
     )
-    p_sim.add_argument("--reps", type=int, help="replications per beam count (default 100)")
-    p_sim.add_argument("--seed", type=int, help="base RNG seed (default 42)")
+    p_sim.add_argument(
+        "--reps",
+        type=int,
+        help=f"replications per beam count (default {sweep.replications})",
+    )
+    p_sim.add_argument(
+        "--seed", type=int, help=f"base RNG seed (default {sweep.rng_seed})"
+    )
     p_sim.add_argument(
         "--out", default="report.csv", help="output CSV path (default report.csv)"
     )
@@ -347,8 +353,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_verify.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -140,9 +140,7 @@ class BidMatrix:
 
 def as_bid_matrix(bids: BidMatrix | np.ndarray | Sequence) -> BidMatrix:
     """Coerce an array-like into a validated :class:`BidMatrix`."""
-    if isinstance(bids, BidMatrix):
-        return bids
-    return BidMatrix(np.asarray(bids, dtype=float))
+    return bids if isinstance(bids, BidMatrix) else BidMatrix(bids)
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,6 @@ class Scenario:
     terminals: tuple[UserTerminal, ...]
     beams: tuple[SpotBeam, ...]
     rng_seed: int
-    capacity_default: float = 150.0
 
     def __post_init__(self) -> None:
         terminals = tuple(self.terminals)

@@ -10,6 +10,7 @@ by the number of beams.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,19 @@ __all__ = [
 REPORT_HEADER = "n_fasb,mechanism,mean_avg_sbsdc,stddev,replications"
 
 
+def _check_draw(capacity: float, demand_low: float, demand_high: float) -> None:
+    """Reject a beam capacity or demand bounds that no scenario can use."""
+    if not (math.isfinite(capacity) and capacity > 0):
+        raise ConfigurationError(
+            f"capacity must be positive and finite, got {capacity}"
+        )
+    if not (math.isfinite(demand_high) and 0 <= demand_low <= demand_high):
+        raise ConfigurationError(
+            f"demand bounds must be finite with 0 <= low <= high, got "
+            f"[{demand_low}, {demand_high}]"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: fixed terminal pool, varying number of beams."""
@@ -60,13 +74,7 @@ class ExperimentConfig:
                 f"need at least as many terminals ({self.n_terminals}) as the "
                 f"largest beam count ({max(beam_counts)})"
             )
-        if not 0 <= self.demand_low <= self.demand_high:
-            raise ConfigurationError(
-                f"demand bounds must satisfy 0 <= low <= high, got "
-                f"[{self.demand_low}, {self.demand_high}]"
-            )
-        if self.capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {self.capacity}")
+        _check_draw(self.capacity, self.demand_low, self.demand_high)
         if self.replications < 1:
             raise ConfigurationError(
                 f"replications must be >= 1, got {self.replications}"
@@ -116,9 +124,9 @@ class ExperimentReport:
 def generate_scenario(
     n_terminals: int,
     n_beams: int,
-    capacity: float = 150.0,
-    demand_low: float = 50.0,
-    demand_high: float = 150.0,
+    capacity: float = ExperimentConfig.capacity,
+    demand_low: float = ExperimentConfig.demand_low,
+    demand_high: float = ExperimentConfig.demand_high,
     seed: int = 0,
 ) -> Scenario:
     """Draw a random scenario from a seeded generator.
@@ -132,13 +140,7 @@ def generate_scenario(
         raise ConfigurationError(
             f"need n_terminals >= n_beams >= 1, got {n_terminals} and {n_beams}"
         )
-    if not 0 <= demand_low <= demand_high:
-        raise ConfigurationError(
-            f"demand bounds must satisfy 0 <= low <= high, got "
-            f"[{demand_low}, {demand_high}]"
-        )
-    if capacity <= 0:
-        raise ConfigurationError(f"capacity must be positive, got {capacity}")
+    _check_draw(capacity, demand_low, demand_high)
 
     rng = np.random.default_rng(seed)
     demands = rng.uniform(demand_low, demand_high, size=(n_terminals, n_beams))
@@ -153,12 +155,7 @@ def generate_scenario(
         SpotBeam(id=j + 1, capacity=float(capacity), available_at=j + 1)
         for j in range(n_beams)
     )
-    return Scenario(
-        terminals=terminals,
-        beams=beams,
-        rng_seed=int(seed),
-        capacity_default=float(capacity),
-    )
+    return Scenario(terminals=terminals, beams=beams, rng_seed=int(seed))
 
 
 def _replication_seed(base_seed: int, n_beams: int, replication: int) -> int:

@@ -174,6 +174,17 @@ class TestSimulateCommand:
         assert "invalid configuration" in capsys.readouterr().err
         assert main(["simulate", "--fasb-range", "5..2", "--out", out]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+        for flag, value in [
+            ("--capacity", "inf"), ("--capacity", "nan"), ("--demand", "50,inf")
+        ]:
+            assert main(["simulate", flag, value, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        for config in [{"demand": [60]}, {"reps": [1]}, [1]]:
+            cfg = write(tmp_path, "cfg.json", json.dumps(config))
+            assert main(["simulate", "--config", cfg, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid configuration") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

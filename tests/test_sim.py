@@ -48,6 +48,10 @@ class TestGenerateScenario:
             generate_scenario(2, 3)
         with pytest.raises(ConfigurationError):
             generate_scenario(3, 2, capacity=0.0)
+        with pytest.raises(ConfigurationError):
+            generate_scenario(3, 2, capacity=np.inf)
+        with pytest.raises(ConfigurationError):
+            generate_scenario(3, 2, demand_high=np.inf)
 
 
 class TestExperimentConfig:
@@ -71,6 +75,10 @@ class TestExperimentConfig:
             ExperimentConfig(replications=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(demand_low=80.0, demand_high=20.0)
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(capacity=np.inf)
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(demand_high=np.inf)
 
 
 class TestRunExperiment:
