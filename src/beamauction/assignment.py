@@ -19,7 +19,9 @@ cardinality and serves every vertex whose potential is strictly below
 its side's slack level, so the canonical optimum is the lexicographically
 smallest such matching of the tight graph. Tightness is judged up to the
 rounding the potential updates can accumulate, and a tie-break swap that
-would raise the re-summed total is refused.
+would raise the re-summed total is refused. When the kernel's matching
+serves the whole short side and is the only tight edge of every
+short-side vertex, the optimum is forced and is returned as it is.
 
 Totals are summed over matched pairs in beam order. ``dummy_cost`` and
 :func:`pad_to_square` keep the paper's padded formulation available:
@@ -352,15 +354,18 @@ def _solve(
     scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
     eps = (2 * size + 2) * math.ulp(scale)
     tight = (short - u[:, None] - v) <= eps
-    optional_short = (
-        u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
-    )
-    optional_long = v >= -eps
-    if flip:
-        tight, optional_t, optional_b = tight.T, optional_long, optional_short
+    if size == len(col4row) == tight.sum() and tight[np.arange(size), col4row].all():
+        term = term_of.tolist()  # each short row's one tight edge: forced
     else:
-        optional_t, optional_b = optional_short, optional_long
-    term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
+        optional_short = (
+            u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
+        )
+        optional_long = v >= -eps
+        if flip:
+            tight, optional_t, optional_b = tight.T, optional_long, optional_short
+        else:
+            optional_t, optional_b = optional_short, optional_long
+        term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
     pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
     return Assignment(pairs, _resum(values, term))
 

@@ -65,8 +65,9 @@ def utility_of_report(
 
     Substitutes the row, runs the auction, and returns payment received
     minus the terminal's *true* bid over its winning pairs; zero when it
-    wins nothing. Under this utility, reporting the true row is a
-    dominant strategy.
+    wins nothing. Reporting the true row is not a dominant strategy under
+    the per-pair payment rule: a terminal that bids on several beams can
+    gain by misreporting (README; demo 04).
     """
     true_bids = as_bid_matrix(true_bids)
     if not 1 <= terminal <= true_bids.n_terminals:

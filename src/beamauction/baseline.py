@@ -33,20 +33,14 @@ def greedy_allocate(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order}")
 
-    taken = [False] * m
+    # One row per served beam, in order; a taken terminal's column is +inf,
+    # and argmin's first minimum is the smallest terminal id.
+    remaining = bids.values.T[[j - 1 for j in order[:m]]]
     pairs: list[tuple[int, int]] = []
-    for j in order:
-        column = bids.values[:, j - 1]
-        best_i = -1
-        best_bid = np.inf
-        for i in range(m):
-            if not taken[i] and column[i] < best_bid:
-                best_i = i
-                best_bid = float(column[i])
-        if best_i < 0:
-            break  # every terminal already serves a beam
-        taken[best_i] = True
-        pairs.append((best_i + 1, j))
+    for j, row in zip(order, remaining):
+        i = int(row.argmin())
+        remaining[:, i] = np.inf
+        pairs.append((i + 1, j))
 
     pairs.sort(key=lambda p: p[1])
     total = 0.0

@@ -11,6 +11,7 @@ winning bid. All rates are in Mbps; ids are 1-based.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -49,13 +50,15 @@ class UserTerminal:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ConfigurationError(f"terminal id must be >= 1, got {self.id}")
-        demand = {int(epoch): float(rate) for epoch, rate in self.demand.items()}
-        for epoch, rate in demand.items():
-            if not math.isfinite(rate) or rate < 0:
+        demand = {}
+        for epoch, rate in self.demand.items():
+            epoch, rate = int(epoch), float(rate)
+            if not 0.0 <= rate < math.inf:  # also rejects NaN
                 raise ConfigurationError(
                     f"terminal {self.id}: demand at epoch {epoch} must be a "
                     f"non-negative finite rate, got {rate}"
                 )
+            demand[epoch] = rate
         object.__setattr__(self, "demand", demand)
 
     def demand_at(self, epoch: int) -> float:
@@ -251,19 +254,23 @@ def compute_bid(terminal: UserTerminal, beam: SpotBeam) -> float:
     Raises :class:`ConfigurationError` if the terminal has no demand
     sample at the beam's availability epoch.
     """
-    epoch = beam.available_at
-    if epoch not in terminal.demand:
-        raise ConfigurationError(
-            f"terminal {terminal.id} has no demand sample at epoch {epoch}, "
-            f"required by beam {beam.id}"
-        )
-    return max(0.0, beam.capacity - terminal.demand[epoch])
+    try:
+        demand = terminal.demand_at(beam.available_at)
+    except ConfigurationError as missing:
+        raise ConfigurationError(f"{missing}, required by beam {beam.id}") from None
+    return max(0.0, beam.capacity - demand)
 
 
 def build_bid_matrix(scenario: Scenario) -> BidMatrix:
-    """Evaluate every terminal's bid for every beam of a scenario."""
-    values = np.empty((scenario.n_terminals, scenario.n_beams), dtype=float)
-    for i, terminal in enumerate(scenario.terminals):
-        for j, beam in enumerate(scenario.beams):
-            values[i, j] = compute_bid(terminal, beam)
-    return BidMatrix(values)
+    """Every terminal's :func:`compute_bid` for every beam, as one array."""
+    at_epochs = operator.itemgetter(*[beam.available_at for beam in scenario.beams])
+    try:
+        demand = [at_epochs(terminal.demand) for terminal in scenario.terminals]
+    except KeyError:
+        for terminal in scenario.terminals:
+            for beam in scenario.beams:
+                compute_bid(terminal, beam)  # raises for the first missing sample
+        raise
+    demand = np.array(demand, dtype=float).reshape(scenario.n_terminals, -1)
+    capacities = np.array([beam.capacity for beam in scenario.beams], dtype=float)
+    return BidMatrix(np.maximum(0.0, capacities - demand))

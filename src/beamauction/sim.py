@@ -144,12 +144,10 @@ def generate_scenario(
 
     rng = np.random.default_rng(seed)
     demands = rng.uniform(demand_low, demand_high, size=(n_terminals, n_beams))
+    epochs = range(1, n_beams + 1)
     terminals = tuple(
-        UserTerminal(
-            id=i + 1,
-            demand={epoch: float(demands[i, epoch - 1]) for epoch in range(1, n_beams + 1)},
-        )
-        for i in range(n_terminals)
+        UserTerminal(id=i, demand=dict(zip(epochs, row)))
+        for i, row in enumerate(demands.tolist(), start=1)
     )
     beams = tuple(
         SpotBeam(id=j + 1, capacity=float(capacity), available_at=j + 1)

@@ -196,14 +196,43 @@ class TestSolverAgainstOracle:
             assert abs(got.total_cost - want.total_cost) <= 1e-9
 
     def test_pairs_match_exactly_on_tie_heavy_instances(self):
+        # The continuous draws mostly take the forced-optimum return.
         rng = seeded_rng(102)
-        for _ in range(300):
-            m, n = draw_dims(rng, 6)
-            bids = draw_tie_heavy_bids(rng, m, n)
-            got = solve_rectangular(bids)
-            want = brute_force_min_assignment(bids)
-            assert got.pairs == want.pairs
-            assert got.total_cost == want.total_cost
+        for draw in (draw_tie_heavy_bids, draw_bids):
+            for _ in range(300):
+                m, n = draw_dims(rng, 6)
+                bids = draw(rng, m, n)
+                got = solve_rectangular(bids)
+                want = brute_force_min_assignment(bids)
+                assert got.pairs == want.pairs
+                assert got.total_cost == want.total_cost
+
+    def test_forced_optimum_skips_the_tie_break(self, monkeypatch):
+        from beamauction import assignment
+
+        tie_break = assignment._lex_min_matching
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tie_break(*args)
+
+        monkeypatch.setattr(assignment, "_lex_min_matching", counted)
+        rng = seeded_rng(107)
+        for transpose in (False, True):  # beams short side, then terminals
+            before = len(calls)
+            for _ in range(100):
+                bids = draw_bids(rng, *draw_dims(rng, 6))
+                bids = bids.T if transpose else bids
+                got = solve_rectangular(bids)
+                want = brute_force_min_assignment(bids)
+                assert got.pairs == want.pairs
+                assert got.total_cost == want.total_cost
+            assert len(calls) - before < 100
+        # Exact ties leave more than one optimum: the tie-break must run.
+        before = len(calls)
+        assert solve_rectangular([[1.0, 1.0], [1.0, 1.0]]).pairs == ((1, 1), (2, 2))
+        assert len(calls) == before + 1
 
     def test_forbidden_resolves_match_oracle(self):
         rng = seeded_rng(103)

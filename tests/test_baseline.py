@@ -6,7 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamauction import determine_winners, greedy_allocate, solve_rectangular
-from helpers import draw_bids, draw_dims, seeded_rng
+from helpers import draw_bids, draw_dims, draw_tie_heavy_bids, seeded_rng
+
+
+def reference_greedy(bids, order):
+    """Per-terminal scan: each beam in order takes the first cheapest free terminal."""
+    m = bids.shape[0]
+    taken = [False] * m
+    pairs = []
+    for j in order:
+        best_i, best_bid = -1, np.inf
+        for i in range(m):
+            if not taken[i] and bids[i, j - 1] < best_bid:
+                best_i, best_bid = i, float(bids[i, j - 1])
+        if best_i < 0:
+            break
+        taken[best_i] = True
+        pairs.append((best_i + 1, j))
+    pairs.sort(key=lambda p: p[1])
+    total = 0.0
+    for i, j in pairs:
+        total += float(bids[i - 1, j - 1])
+    return tuple(pairs), total
 
 
 class TestGreedyAllocate:
@@ -48,6 +69,16 @@ class TestGreedyAllocate:
         greedy = greedy_allocate([[1.0, 1.0, 1.0]], [1, 2, 3])
         assert greedy.pairs == ((1, 1),)
         assert greedy.total_cost == 1.0
+
+    def test_matches_the_reference_scan_on_tie_heavy_bids(self):
+        rng = seeded_rng(302)
+        for _ in range(300):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))  # N > M too
+            bids = draw_tie_heavy_bids(rng, m, n, levels=3)
+            order = [int(j) for j in rng.permutation(n) + 1]
+            greedy = greedy_allocate(bids, order)
+            assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
+            assert len(greedy) == min(m, n)
 
     def test_rejects_non_permutation_order(self):
         with pytest.raises(ValueError, match="permutation"):

@@ -103,6 +103,48 @@ class TestBuildBidMatrix:
         assert np.array_equal(first, second)
 
 
+    def test_equals_compute_bid_cell_by_cell(self):
+        rng = np.random.default_rng(7)
+        clamped = 0
+        for case in range(100):
+            n = int(rng.integers(1, 6))  # a single beam included
+            m = int(rng.integers(n, 9))
+            epochs = [int(e) for e in rng.permutation(n) * 3 + 1]  # not in id order
+            capacities = rng.integers(1, 200, size=n).tolist()  # whole Mbps as ints
+            if case % 2:
+                capacities = [c + 0.5 for c in capacities]
+            beams = tuple(
+                SpotBeam(id=j + 1, capacity=capacities[j], available_at=epochs[j])
+                for j in range(n)
+            )
+            terminals = tuple(
+                UserTerminal(
+                    id=i + 1,
+                    # Up to twice the capacity, so some bids clamp to zero.
+                    demand={e: float(rng.uniform(0, 400)) for e in epochs},
+                )
+                for i in range(m)
+            )
+            scenario = Scenario(terminals=terminals, beams=beams, rng_seed=0)
+            values = build_bid_matrix(scenario).values
+            expected = [[compute_bid(t, b) for b in beams] for t in terminals]
+            assert values.tolist() == expected
+            clamped += int((values == 0.0).sum())
+        assert clamped > 0
+
+    def test_missing_epoch_names_terminal_beam_and_epoch(self):
+        scenario = Scenario(
+            terminals=(
+                UserTerminal(id=1, demand={1: 10.0, 7: 10.0}),
+                UserTerminal(id=2, demand={7: 10.0}),
+            ),
+            beams=(beam(j=1, available_at=7), beam(j=2, available_at=1)),
+            rng_seed=0,
+        )
+        with pytest.raises(ConfigurationError, match=r"terminal 2.*epoch 1.*beam 2"):
+            build_bid_matrix(scenario)
+
+
 class TestBidMatrix:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -140,8 +182,9 @@ class TestBidMatrix:
 
 class TestTerminalAndBeam:
     def test_terminal_rejects_negative_demand(self):
-        with pytest.raises(ConfigurationError):
-            UserTerminal(id=1, demand={1: -1.0})
+        for rate in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="epoch 2.*non-negative finite"):
+                UserTerminal(id=1, demand={1: 1.0, 2: rate})
 
     def test_terminal_rejects_bad_id(self):
         with pytest.raises(ConfigurationError):
