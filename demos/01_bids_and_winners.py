@@ -5,8 +5,9 @@ epochs at which spot beams will free up. Each bid is the beam's spare
 capacity if it served that terminal (capacity minus demand, never below
 zero), so a low bid means a well-utilized beam. The paper pads the bid
 matrix to square with a dummy cost larger than any bid and drops the
-dummy pairs after solving; the solver reaches the same optimum without
-padding, searching from the beams.
+dummy pairs after solving. The demo prints that padded matrix, but the
+solver never builds it: it reaches the same optimum on the rectangular
+matrix, searching from the beams.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from beamauction import (
     build_bid_matrix,
     default_dummy_cost,
     determine_winners,
-    pad_to_square,
 )
 
 scenario = Scenario(
@@ -39,9 +39,11 @@ print("bid matrix (rows = terminals, columns = beams):")
 print(bids.values)
 
 dummy = default_dummy_cost(bids)
-padded = pad_to_square(bids, dummy)
-print(f"\npadded to {padded.n}x{padded.n} with dummy cost {dummy}:")
-print(padded.values)
+size = max(bids.n_terminals, bids.n_beams)
+padded = np.full((size, size), dummy)
+padded[: bids.n_terminals, : bids.n_beams] = bids.values
+print(f"\npadded to {size}x{size} with dummy cost {dummy}:")
+print(padded)
 
 winners = determine_winners(bids)
 print("\nwinning pairs (terminal, beam):", winners.pairs)

@@ -18,10 +18,8 @@ from .model import (
     compute_bid,
 )
 from .assignment import (
-    PaddedMatrix,
     brute_force_min_assignment,
     default_dummy_cost,
-    pad_to_square,
     solve_rectangular,
     solve_rectangular_forbidden,
     solve_square,
@@ -46,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "ExperimentRow",
-    "PaddedMatrix",
     "Scenario",
     "SpotBeam",
     "UserTerminal",
@@ -59,7 +56,6 @@ __all__ = [
     "determine_winners",
     "generate_scenario",
     "greedy_allocate",
-    "pad_to_square",
     "payment",
     "run_auction",
     "run_experiment",

@@ -23,10 +23,10 @@ would raise the re-summed total is refused. When the kernel's matching
 serves the whole short side and is the only tight edge of every
 short-side vertex, the optimum is forced and is returned as it is.
 
-Totals are summed over matched pairs in beam order. ``dummy_cost`` and
-:func:`pad_to_square` keep the paper's padded formulation available:
-the unpadded optimum equals the padded one for every valid dummy cost,
-so the argument is validated and otherwise has no effect.
+Totals are summed over matched pairs in beam order. The paper's matrix,
+padded to square with a dummy cost above every bid, has the same optimum
+for every such cost, so :func:`solve_rectangular` validates a given
+``dummy_cost`` and otherwise ignores it.
 
 ``brute_force_min_assignment`` is the enumeration oracle used by the
 test suite; it shares the tie-break but nothing else with the solver.
@@ -35,7 +35,6 @@ test suite; it shares the tie-break but nothing else with the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 import numpy as np
@@ -43,9 +42,7 @@ import numpy as np
 from .model import Assignment, BidMatrix, as_bid_matrix
 
 __all__ = [
-    "PaddedMatrix",
     "default_dummy_cost",
-    "pad_to_square",
     "solve_square",
     "solve_rectangular",
     "solve_rectangular_forbidden",
@@ -58,23 +55,6 @@ _ORACLE_MAX_DIM = 8
 _ORACLE_MAX_SIDE = 512  # column recursion depth; stays clear of the stack limit
 
 
-@dataclass(frozen=True)
-class PaddedMatrix:
-    """A bid matrix squared up with constant-cost dummy rows or columns.
-
-    ``values`` is n x n with n = max(M, N); the top-left M x N block is
-    ``base`` and every dummy entry costs ``dummy_cost``.
-    """
-
-    base: np.ndarray
-    dummy_cost: float
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def default_dummy_cost(bids: BidMatrix | np.ndarray | Sequence) -> float:
     """Smallest conforming integer dummy cost, floor(max bid) + 1.
 
@@ -83,34 +63,6 @@ def default_dummy_cost(bids: BidMatrix | np.ndarray | Sequence) -> float:
     """
     top = as_bid_matrix(bids).max_bid
     return max(float(math.floor(top) + 1), math.nextafter(top, _INF))
-
-
-def _check_dummy_cost(bids: BidMatrix, dummy_cost: float) -> float:
-    dummy_cost = float(dummy_cost)
-    if not math.isfinite(dummy_cost) or dummy_cost <= bids.max_bid:
-        raise ValueError(
-            f"dummy cost {dummy_cost} must be finite and strictly greater "
-            f"than the largest bid {bids.max_bid}"
-        )
-    return dummy_cost
-
-
-def pad_to_square(
-    bids: BidMatrix | np.ndarray | Sequence, dummy_cost: float
-) -> PaddedMatrix:
-    """Extend a rectangular bid matrix to square with dummy rows/columns.
-
-    ``dummy_cost`` must strictly exceed every bid; otherwise a dummy pair
-    could displace a real one and corrupt optimality.
-    """
-    bids = as_bid_matrix(bids)
-    dummy_cost = _check_dummy_cost(bids, dummy_cost)
-    m, n = bids.values.shape
-    size = max(m, n)
-    values = np.full((size, size), dummy_cost, dtype=float)
-    values[:m, :n] = bids.values
-    values.setflags(write=False)
-    return PaddedMatrix(base=bids.values, dummy_cost=dummy_cost, values=values)
 
 
 def _shortest_augmenting_paths(
@@ -394,28 +346,31 @@ def solve_rectangular(
     """Optimal beam-saturating assignment of a rectangular bid matrix.
 
     When M >= N every beam is assigned; when N > M every terminal is.
-    ``dummy_cost``, if given, must strictly exceed every bid, as in
-    :func:`pad_to_square`; the result does not depend on it.
+    ``dummy_cost``, the paper's padding constant, must be finite and
+    strictly exceed every bid if given; the result does not depend on it.
     """
     bids = as_bid_matrix(bids)
-    if dummy_cost is not None:
-        _check_dummy_cost(bids, dummy_cost)
+    if dummy_cost is not None and not bids.max_bid < float(dummy_cost) < _INF:
+        raise ValueError(
+            f"dummy cost {dummy_cost} must be finite and strictly greater "
+            f"than the largest bid {bids.max_bid}"
+        )
     return _solve(bids)
 
 
 def _check_forbidden(
     bids: BidMatrix, forbidden: Collection[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
-    pairs = {(int(i), int(j)) for i, j in forbidden}
-    for i, j in pairs:
-        bids.bid(i, j)  # rejects a pair out of bounds
-    return frozenset((i - 1, j - 1) for i, j in pairs)
+    pairs = set()
+    for i, j in forbidden:
+        bids.bid(i, j)  # rejects a pair out of bounds or with a fractional index
+        pairs.add((int(i) - 1, int(j) - 1))
+    return frozenset(pairs)
 
 
 def solve_rectangular_forbidden(
     bids: BidMatrix | np.ndarray | Sequence,
     forbidden: Collection[tuple[int, int]],
-    dummy_cost: float | None = None,
 ) -> Assignment:
     """Like :func:`solve_rectangular` but ``forbidden`` pairs cannot win.
 
@@ -424,8 +379,6 @@ def solve_rectangular_forbidden(
     is returned (possibly empty).
     """
     bids = as_bid_matrix(bids)
-    if dummy_cost is not None:
-        _check_dummy_cost(bids, dummy_cost)
     return _solve(bids, _check_forbidden(bids, forbidden))
 
 

@@ -142,12 +142,12 @@ def _demand_bounds(spec: str | Sequence) -> dict[str, float]:
 # ExperimentConfig fields it sets; a setting not given keeps the field's
 # default.
 _SIMULATE_SETTINGS = {
-    "terminals": lambda v: {"n_terminals": int(v)},
+    "terminals": lambda v: {"n_terminals": v},
     "fasb_range": lambda v: {"beam_counts": _beam_counts(v)},
     "capacity": lambda v: {"capacity": float(v)},
     "demand": _demand_bounds,
-    "reps": lambda v: {"replications": int(v)},
-    "seed": lambda v: {"rng_seed": int(v)},
+    "reps": lambda v: {"replications": v},
+    "seed": lambda v: {"rng_seed": v},
 }
 
 

@@ -132,13 +132,13 @@ class BidMatrix:
         return float(self.values.max())
 
     def bid(self, terminal: int, beam: int) -> float:
-        """The bid of ``terminal`` for ``beam`` (both 1-based)."""
-        if not (1 <= terminal <= self.n_terminals and 1 <= beam <= self.n_beams):
+        """The bid of ``terminal`` for ``beam`` (both 1-based, whole numbers)."""
+        m, n = self.values.shape
+        if not (1 <= terminal <= m and 1 <= beam <= n) or terminal % 1 or beam % 1:
             raise ValueError(
-                f"pair ({terminal}, {beam}) out of bounds for a "
-                f"{self.n_terminals}x{self.n_beams} bid matrix"
+                f"pair ({terminal}, {beam}) out of bounds for a {m}x{n} bid matrix"
             )
-        return float(self.values[terminal - 1, beam - 1])
+        return float(self.values[int(terminal) - 1, int(beam) - 1])
 
 
 def as_bid_matrix(bids: BidMatrix | np.ndarray | Sequence) -> BidMatrix:

@@ -50,6 +50,16 @@ def _check_draw(capacity: float, demand_low: float, demand_high: float) -> None:
         )
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a value with a fractional part is refused."""
+    try:
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: fixed terminal pool, varying number of beams."""
@@ -63,8 +73,10 @@ class ExperimentConfig:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        beam_counts = tuple(int(n) for n in self.beam_counts)
+        beam_counts = tuple(_whole("beam_counts", n) for n in self.beam_counts)
         object.__setattr__(self, "beam_counts", beam_counts)
+        for name in ("n_terminals", "replications", "rng_seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if not beam_counts or min(beam_counts) < 1:
             raise ConfigurationError("beam_counts must be non-empty positive ints")
         if len(set(beam_counts)) != len(beam_counts):

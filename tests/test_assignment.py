@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from beamauction import (
     brute_force_min_assignment,
     default_dummy_cost,
-    pad_to_square,
     solve_rectangular,
     solve_rectangular_forbidden,
     solve_square,
@@ -52,37 +51,12 @@ class TestSolveSquare:
 
 
 class TestPadToSquare:
-    def test_appends_dummy_columns_when_terminals_exceed_beams(self):
-        padded = pad_to_square([[4, 2], [1, 3], [5, 6]], 100.0)
-        expected = [[4, 2, 100], [1, 3, 100], [5, 6, 100]]
-        assert padded.values.tolist() == expected
-        assert padded.dummy_cost == 100.0
-        assert padded.base.tolist() == [[4, 2], [1, 3], [5, 6]]
-
-    def test_square_matrix_is_unchanged(self):
-        padded = pad_to_square([[1, 2], [3, 4]], 9.0)
-        assert padded.values.tolist() == [[1, 2], [3, 4]]
-        assert padded.n == 2
-
-    def test_appends_dummy_rows_when_beams_exceed_terminals(self):
-        padded = pad_to_square([[1, 2, 3], [4, 5, 6]], 7.0)
-        assert padded.values.tolist() == [[1, 2, 3], [4, 5, 6], [7, 7, 7]]
-
-    def test_dummy_cost_must_strictly_exceed_every_bid(self):
-        with pytest.raises(ValueError, match="strictly greater"):
-            pad_to_square([[1, 6], [2, 3]], 6.0)
-        with pytest.raises(ValueError, match="strictly greater"):
-            pad_to_square([[1, 6], [2, 3]], 5.0)
-        with pytest.raises(ValueError):
-            pad_to_square([[1.0]], np.inf)
-
     def test_default_dummy_cost_exceeds_bids_beyond_two_to_the_53(self):
         # floor(1e16) + 1 rounds back to 1e16 in floating point.
         bids = [[1e16], [0.0]]
         z = default_dummy_cost(bids)
         assert z > 1e16
-        padded = pad_to_square(bids, z)
-        assert padded.values.tolist() == [[1e16, z], [0.0, z]]
+        assert solve_rectangular(bids, z) == solve_rectangular(bids)
         assert default_dummy_cost([[4.5, 2.0]]) == 5.0
 
 
@@ -109,8 +83,9 @@ class TestSolveRectangular:
         assert result.total_cost == 1.0
 
     def test_explicit_dummy_cost_must_be_valid(self):
-        with pytest.raises(ValueError, match="strictly greater"):
-            solve_rectangular([[4, 2], [1, 3], [5, 6]], dummy_cost=6.0)
+        for dummy_cost in (6.0, 5.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="strictly greater"):
+                solve_rectangular([[4, 2], [1, 3], [5, 6]], dummy_cost=dummy_cost)
 
     def test_bids_beyond_two_to_the_53_are_solved(self):
         result = solve_rectangular([[1e16], [0.0]])
@@ -157,6 +132,14 @@ class TestSolveRectangularForbidden:
     def test_out_of_bounds_forbidden_pair(self):
         with pytest.raises(ValueError, match="out of bounds"):
             solve_rectangular_forbidden([[1.0]], {(1, 2)})
+        with pytest.raises(ValueError, match="out of bounds"):
+            solve_rectangular_forbidden([[1, 3], [2, 5]], {(1.5, 2)})
+
+    def test_whole_number_forbidden_pairs_of_any_type(self):
+        expected = solve_rectangular_forbidden([[1, 3], [2, 5]], {(2, 1)})
+        assert expected.pairs == ((1, 1), (2, 2))
+        for pair in [(2.0, 1.0), (np.int64(2), np.int32(1)), (np.float64(2), 1)]:
+            assert solve_rectangular_forbidden([[1, 3], [2, 5]], [pair]) == expected
 
 
 class TestBruteForceOracle:

@@ -73,6 +73,8 @@ class TestPayment:
             payment(bids, winners, 3, 1)
         with pytest.raises(ValueError, match="out of bounds"):
             payment(bids, winners, 1, 0)
+        with pytest.raises(ValueError, match="out of bounds"):
+            payment(bids, winners, 1.5, 2)
 
     def test_degenerate_single_cell_pays_zero(self):
         # Excluding the only cell leaves nothing assignable, so the

@@ -151,6 +151,17 @@ class TestSimulateCommand:
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_whole_number_floats_act_as_ints(self, tmp_path):
+        outputs = []
+        for number in (int, float):
+            config = {"terminals": number(5), "fasb_range": [number(2), 3],
+                      "reps": number(2), "seed": number(13)}
+            cfg = write(tmp_path, "cfg.json", json.dumps(config))
+            out = tmp_path / f"{number.__name__}.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", json.dumps({"seed": 1, "reps": 2}))
         out_a = str(tmp_path / "a.csv")
@@ -180,7 +191,16 @@ class TestSimulateCommand:
             assert main(["simulate", flag, value, "--out", out]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: invalid configuration") and err.count("\n") == 1
-        for config in [{"demand": [60]}, {"reps": [1]}, [1]]:
+        for config in [
+            {"demand": [60]},
+            {"reps": [1]},
+            [1],
+            {"reps": 2.5},
+            {"fasb_range": [2.7, 3]},
+            {"terminals": 12.9},
+            {"seed": 1.5},
+            {"reps": 2.5, "fasb_range": [2.7, 3], "terminals": 12.9},
+        ]:
             cfg = write(tmp_path, "cfg.json", json.dumps(config))
             assert main(["simulate", "--config", cfg, "--out", out]) == 1
             err = capsys.readouterr().err

@@ -79,6 +79,29 @@ class TestExperimentConfig:
             ExperimentConfig(capacity=np.inf)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(demand_high=np.inf)
+        for fractional in [
+            {"n_terminals": 12.9},
+            {"beam_counts": (2.7, 3)},
+            {"replications": 2.5},
+            {"rng_seed": 1.5},
+            {"rng_seed": np.nan},
+            {"replications": np.inf},
+        ]:
+            with pytest.raises(ConfigurationError, match="whole number"):
+                ExperimentConfig(**fractional)
+
+    def test_whole_number_settings_are_stored_as_int(self):
+        config = ExperimentConfig(
+            n_terminals=np.int64(12),
+            beam_counts=(2.0, np.int32(3)),
+            replications=2.0,
+            rng_seed=np.float64(1),
+        )
+        fields = [config.n_terminals, *config.beam_counts]
+        fields += [config.replications, config.rng_seed]
+        assert fields == [12, 2, 3, 2, 1]
+        assert all(type(value) is int for value in fields)
+        assert run_experiment(config).rows[0].replications == 2
 
 
 class TestRunExperiment:
