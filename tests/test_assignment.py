@@ -51,6 +51,14 @@ class TestSolveSquare:
 
 
 class TestPadToSquare:
+    def test_dummy_cost_must_strictly_exceed_every_bid(self):
+        with pytest.raises(ValueError, match="strictly greater"):
+            solve_rectangular([[1, 6], [2, 3]], dummy_cost=6.0)
+        with pytest.raises(ValueError, match="strictly greater"):
+            solve_rectangular([[1, 6], [2, 3]], dummy_cost=5.0)
+        with pytest.raises(ValueError):
+            solve_rectangular([[1.0]], dummy_cost=np.inf)
+
     def test_default_dummy_cost_exceeds_bids_beyond_two_to_the_53(self):
         # floor(1e16) + 1 rounds back to 1e16 in floating point.
         bids = [[1e16], [0.0]]
@@ -83,7 +91,7 @@ class TestSolveRectangular:
         assert result.total_cost == 1.0
 
     def test_explicit_dummy_cost_must_be_valid(self):
-        for dummy_cost in (6.0, 5.0, np.inf, np.nan):
+        for dummy_cost in (6.0, np.nan):
             with pytest.raises(ValueError, match="strictly greater"):
                 solve_rectangular([[4, 2], [1, 3], [5, 6]], dummy_cost=dummy_cost)
 
