@@ -358,16 +358,6 @@ def solve_rectangular(
     return _solve(bids)
 
 
-def _check_forbidden(
-    bids: BidMatrix, forbidden: Collection[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    for i, j in forbidden:
-        bids.bid(i, j)  # rejects a pair out of bounds or with a fractional index
-        pairs.add((int(i) - 1, int(j) - 1))
-    return frozenset(pairs)
-
-
 def solve_rectangular_forbidden(
     bids: BidMatrix | np.ndarray | Sequence,
     forbidden: Collection[tuple[int, int]],
@@ -379,7 +369,7 @@ def solve_rectangular_forbidden(
     is returned (possibly empty).
     """
     bids = as_bid_matrix(bids)
-    return _solve(bids, _check_forbidden(bids, forbidden))
+    return _solve(bids, frozenset(bids._cell(i, j) for i, j in forbidden))
 
 
 def _max_matching_size(allowed: list[list[bool]], m: int, n: int) -> int:
@@ -420,7 +410,7 @@ def brute_force_min_assignment(
             f"brute-force enumeration supports min(M, N) <= {_ORACLE_MAX_DIM} "
             f"and max(M, N) <= {_ORACLE_MAX_SIDE}, got {m}x{n}"
         )
-    forbidden0 = _check_forbidden(bids, forbidden)
+    forbidden0 = frozenset(bids._cell(i, j) for i, j in forbidden)
     values = bids.values
     allowed = [
         [(i, j) not in forbidden0 for j in range(n)] for i in range(m)

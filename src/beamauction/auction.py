@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import solve_rectangular, solve_rectangular_forbidden
-from .model import Assignment, AuctionOutcome, BidMatrix, as_bid_matrix
+from .model import Assignment, AuctionOutcome, BidMatrix, _whole, as_bid_matrix
 
 __all__ = ["determine_winners", "payment", "run_auction", "utility_of_report"]
 
@@ -40,7 +40,7 @@ def payment(
     """
     bids = as_bid_matrix(bids)
     bid = bids.bid(terminal, beam)  # also validates bounds
-    if (terminal, beam) not in winners.pair_set:
+    if (_whole("terminal", terminal), _whole("beam", beam)) not in winners.pair_set:
         return 0.0
     without = solve_rectangular_forbidden(bids, [(terminal, beam)]).total_cost
     return without - (winners.total_cost - bid)
@@ -70,6 +70,7 @@ def utility_of_report(
     gain by misreporting (README; demo 04).
     """
     true_bids = as_bid_matrix(true_bids)
+    terminal = _whole("terminal", terminal)
     if not 1 <= terminal <= true_bids.n_terminals:
         raise ValueError(
             f"terminal {terminal} out of bounds for a matrix with "

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Assignment, BidMatrix, as_bid_matrix
+from .model import Assignment, BidMatrix, _whole, as_bid_matrix
 
 __all__ = ["greedy_allocate"]
 
@@ -29,7 +29,7 @@ def greedy_allocate(
     """
     bids = as_bid_matrix(bids)
     m, n = bids.values.shape
-    order = [int(j) for j in beam_order]
+    order = [_whole("beam_order entry", j) for j in beam_order]
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order}")
 

@@ -33,7 +33,7 @@ from .assignment import (
 )
 from .auction import determine_winners, payment, run_auction
 from .baseline import greedy_allocate
-from .model import BidMatrix
+from .model import BidMatrix, _whole
 from .sim import ExperimentConfig, run_experiment
 
 __all__ = [
@@ -127,8 +127,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _beam_counts(spec: str | Sequence) -> Sequence[int]:
     if isinstance(spec, (list, tuple)):
         return spec  # ExperimentConfig converts each count
-    lo, dots, hi = str(spec).partition("..")
-    return range(int(lo), int(hi) + 1) if dots else (int(lo),)
+    lo, _, hi = str(spec).partition("..")  # a single count is the range lo..lo
+    return range(_whole("fasb_range", lo), _whole("fasb_range", hi or lo) + 1)
 
 
 def _demand_bounds(spec: str | Sequence) -> dict[str, float]:
@@ -160,25 +160,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
-        if not isinstance(settings, dict):
-            print(
-                f"error: invalid configuration: {args.config} must hold a JSON "
-                f"object",
-                file=sys.stderr,
-            )
-            return 1
-        unknown = set(settings) - set(_SIMULATE_SETTINGS)
-        if unknown:
-            print(
-                f"error: unknown config keys: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 1
-    for key in _SIMULATE_SETTINGS:
-        if getattr(args, key) is not None:  # explicit flags override the file
-            settings[key] = getattr(args, key)
 
     try:
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        unknown = ", ".join(sorted(set(settings) - set(_SIMULATE_SETTINGS)))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        for key in _SIMULATE_SETTINGS:
+            if getattr(args, key) is not None:  # explicit flags override the file
+                settings[key] = getattr(args, key)
         fields = {}
         for key, value in settings.items():
             if value is not None:
@@ -306,9 +297,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--config", help="JSON config file (flags override it)")
     p_sim.add_argument(
-        "--terminals",
-        type=int,
-        help=f"number of terminals (default {sweep.n_terminals})",
+        "--terminals", help=f"number of terminals (default {sweep.n_terminals})"
     )
     p_sim.add_argument(
         "--fasb-range",
@@ -318,9 +307,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     p_sim.add_argument(
-        "--capacity",
-        type=float,
-        help=f"beam capacity in Mbps (default {sweep.capacity:g})",
+        "--capacity", help=f"beam capacity in Mbps (default {sweep.capacity:g})"
     )
     p_sim.add_argument(
         "--demand",
@@ -330,13 +317,9 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     p_sim.add_argument(
-        "--reps",
-        type=int,
-        help=f"replications per beam count (default {sweep.replications})",
+        "--reps", help=f"replications per beam count (default {sweep.replications})"
     )
-    p_sim.add_argument(
-        "--seed", type=int, help=f"base RNG seed (default {sweep.rng_seed})"
-    )
+    p_sim.add_argument("--seed", help=f"base RNG seed (default {sweep.rng_seed})")
     p_sim.add_argument(
         "--out", default="report.csv", help="output CSV path (default report.csv)"
     )

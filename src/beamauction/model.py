@@ -36,6 +36,31 @@ class ConfigurationError(ValueError):
     """Scenario data is inconsistent or incomplete."""
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an ``int``; the one rule for every index, count, epoch and seed.
+
+    ``3``, ``3.0``, ``np.int64(3)``, ``"3"`` and ``"3.0"`` all mean 3. A
+    value with a fractional part, NaN, infinity or text that is not a
+    number raises :class:`ConfigurationError` naming ``name``. Text is read
+    as an integer first, so a long seed given as text stays exact, and
+    otherwise like a JSON number.
+    """
+    if type(value) is int:  # the common case, returned at once
+        return value
+    try:
+        number = value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                number = float(value)
+        if int(number) == number:
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UserTerminal:
     """A bidder: one ground terminal with a time-varying demand rate.
@@ -52,7 +77,7 @@ class UserTerminal:
             raise ConfigurationError(f"terminal id must be >= 1, got {self.id}")
         demand = {}
         for epoch, rate in self.demand.items():
-            epoch, rate = int(epoch), float(rate)
+            epoch, rate = _whole("demand epoch", epoch), float(rate)
             if not 0.0 <= rate < math.inf:  # also rejects NaN
                 raise ConfigurationError(
                     f"terminal {self.id}: demand at epoch {epoch} must be a "
@@ -133,12 +158,20 @@ class BidMatrix:
 
     def bid(self, terminal: int, beam: int) -> float:
         """The bid of ``terminal`` for ``beam`` (both 1-based, whole numbers)."""
+        return float(self.values[self._cell(terminal, beam)])
+
+    def _cell(self, terminal: int, beam: int) -> tuple[int, int]:
+        """The 0-based (row, column) of a 1-based pair inside the matrix."""
         m, n = self.values.shape
-        if not (1 <= terminal <= m and 1 <= beam <= n) or terminal % 1 or beam % 1:
-            raise ValueError(
-                f"pair ({terminal}, {beam}) out of bounds for a {m}x{n} bid matrix"
-            )
-        return float(self.values[int(terminal) - 1, int(beam) - 1])
+        try:
+            i, j = _whole("terminal", terminal), _whole("beam", beam)
+            if 1 <= i <= m and 1 <= j <= n:
+                return i - 1, j - 1
+        except ConfigurationError:
+            pass
+        raise ValueError(
+            f"pair ({terminal}, {beam}) out of bounds for a {m}x{n} bid matrix"
+        )
 
 
 def as_bid_matrix(bids: BidMatrix | np.ndarray | Sequence) -> BidMatrix:
@@ -158,9 +191,8 @@ class Assignment:
     total_cost: float
 
     def __post_init__(self) -> None:
-        pairs = tuple(
-            sorted(((int(i), int(j)) for i, j in self.pairs), key=lambda p: (p[1], p[0]))
-        )
+        pairs = [(_whole("terminal", i), _whole("beam", j)) for i, j in self.pairs]
+        pairs = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
         terminals = [i for i, _ in pairs]
         beams = [j for _, j in pairs]
         if len(set(terminals)) != len(terminals):
@@ -200,7 +232,10 @@ class AuctionOutcome:
     payments: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        payments = {(int(i), int(j)): float(p) for (i, j), p in self.payments.items()}
+        payments = {
+            (_whole("terminal", i), _whole("beam", j)): float(p)
+            for (i, j), p in self.payments.items()
+        }
         if set(payments) != set(self.assignment.pair_set):
             raise ValueError("payments must cover exactly the winning pairs")
         object.__setattr__(self, "payments", payments)

@@ -22,6 +22,7 @@ from .model import (
     Scenario,
     SpotBeam,
     UserTerminal,
+    _whole,
     availability_order,
     build_bid_matrix,
 )
@@ -48,16 +49,6 @@ def _check_draw(capacity: float, demand_low: float, demand_high: float) -> None:
             f"demand bounds must be finite with 0 <= low <= high, got "
             f"[{demand_low}, {demand_high}]"
         )
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a value with a fractional part is refused."""
-    try:
-        if isinstance(value, str) or int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +139,12 @@ def generate_scenario(
     [demand_low, demand_high]. Identical seeds reproduce the scenario
     bit-for-bit.
     """
-    if n_terminals < n_beams or n_beams < 1:
+    n_terminals = _whole("n_terminals", n_terminals)
+    n_beams, seed = _whole("n_beams", n_beams), _whole("seed", seed)
+    if not n_terminals >= n_beams >= 1 or seed < 0:
         raise ConfigurationError(
-            f"need n_terminals >= n_beams >= 1, got {n_terminals} and {n_beams}"
+            f"need n_terminals >= n_beams >= 1 and seed >= 0, got {n_terminals}, "
+            f"{n_beams} and seed {seed}"
         )
     _check_draw(capacity, demand_low, demand_high)
 
@@ -165,7 +159,7 @@ def generate_scenario(
         SpotBeam(id=j + 1, capacity=float(capacity), available_at=j + 1)
         for j in range(n_beams)
     )
-    return Scenario(terminals=terminals, beams=beams, rng_seed=int(seed))
+    return Scenario(terminals=terminals, beams=beams, rng_seed=seed)
 
 
 def _replication_seed(base_seed: int, n_beams: int, replication: int) -> int:

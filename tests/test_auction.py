@@ -47,6 +47,8 @@ class TestPayment:
         assert payment(bids, winners, 1, 2) == 4.0
         # Excluding (2,1) also leaves 6: p = 6 - (5 - 2) = 3.
         assert payment(bids, winners, 2, 1) == 3.0
+        # Any whole-number form of a winning pair is that pair.
+        assert payment(bids, winners, "1", np.float64(2)) == 4.0
 
     def test_losing_pair_pays_exactly_zero(self):
         bids = [[1.0, 3.0], [2.0, 5.0]]
@@ -132,6 +134,9 @@ class TestUtilityOfReport:
             utility_of_report([[1, 3], [2, 5]], [1.0, -2.0], 1)
         with pytest.raises(ValueError, match="terminal"):
             utility_of_report([[1, 3], [2, 5]], [1.0, 2.0], 3)
+        assert utility_of_report([[1, 3], [2, 5]], [1, 3], 1.0) == 1.0
+        with pytest.raises(ValueError, match="terminal"):
+            utility_of_report([[1, 3], [2, 5]], [1, 3], 1.5)
 
 
 class TestPaymentProperties:
@@ -172,6 +177,27 @@ class TestPaymentProperties:
                     oracle_full.total_cost - bids[i - 1, j - 1]
                 )
                 assert abs(payment(bids, winners, i, j) - expected) <= 1e-9
+
+
+class TestPaymentScale:
+    """Exact payments at every bid scale, not only for bids in [0, 150]."""
+
+    @pytest.mark.parametrize("exponent", range(-6, 13, 2))
+    def test_payments_match_oracle_at_scale(self, exponent):
+        rng = seeded_rng(205, exponent + 6)
+        scale = 10.0**exponent
+        for _ in range(30):
+            m, n = draw_dims(rng, 5)
+            for bids in (draw_bids(rng, m, n), draw_tie_heavy_bids(rng, m, n)):
+                bids = bids * scale
+                winners = determine_winners(bids)
+                oracle_full = brute_force_min_assignment(bids)
+                for i, j in winners.pairs:
+                    relaxed = brute_force_min_assignment(bids, [(i, j)])
+                    expected = relaxed.total_cost - (
+                        oracle_full.total_cost - bids[i - 1, j - 1]
+                    )
+                    assert payment(bids, winners, i, j) == expected
 
 
 class TestIncentives:

@@ -87,6 +87,11 @@ class TestGreedyAllocate:
             greedy_allocate([[1.0, 2.0]], [1])
         with pytest.raises(ValueError, match="permutation"):
             greedy_allocate([[1.0, 2.0]], [0, 1])
+        # A fractional entry is refused, not truncated to a permutation.
+        with pytest.raises(ValueError, match="whole number"):
+            greedy_allocate([[1, 3], [2, 5]], [1.5, 2])
+        whole = greedy_allocate([[1, 3], [2, 5]], [np.float64(1), "2"])
+        assert whole == greedy_allocate([[1, 3], [2, 5]], [1, 2])
 
 
 class TestDominance:

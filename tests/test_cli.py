@@ -162,6 +162,38 @@ class TestSimulateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "key, texts, numbers",
+        [
+            ("terminals", ["6", "6.0"], [6, 6.0]),
+            ("reps", ["2", "2.0"], [2, 2.0]),
+            ("seed", ["7", "7.0"], [7, 7.0]),
+            ("capacity", ["120", "120.0"], [120, 120.0]),
+            ("fasb_range", ["3", "3.0"], [3, 3.0, [3.0]]),
+            ("fasb_range", ["2..3", "2.0..3"], [[2, 3], [2.0, 3.0]]),
+        ],
+    )
+    def test_flag_text_json_number_and_json_string_agree(
+        self, tmp_path, key, texts, numbers
+    ):
+        # One path from every form of a setting to ExperimentConfig: flag
+        # text, a JSON number and a JSON string write the same report.
+        small = {"terminals": "6", "fasb_range": "2..3", "reps": "2", "seed": "7"}
+        flags = []
+        for other, text in small.items():
+            if other != key:
+                flags += ["--" + other.replace("_", "-"), text]
+        runs = [["--" + key.replace("_", "-"), text] for text in texts]
+        for value in numbers + texts:
+            cfg = write(tmp_path, f"cfg{len(runs)}.json", json.dumps({key: value}))
+            runs.append(["--config", cfg])
+        reports = set()
+        for k, run in enumerate(runs):
+            out = tmp_path / f"{k}.csv"
+            assert main(["simulate", *flags, *run, "--out", str(out)]) == 0
+            reports.add(out.read_bytes())
+        assert len(reports) == 1
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", json.dumps({"seed": 1, "reps": 2}))
         out_a = str(tmp_path / "a.csv")
@@ -186,7 +218,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--fasb-range", "5..2", "--out", out]) == 1
         assert "invalid configuration" in capsys.readouterr().err
         for flag, value in [
-            ("--capacity", "inf"), ("--capacity", "nan"), ("--demand", "50,inf")
+            ("--capacity", "inf"), ("--capacity", "nan"), ("--demand", "50,inf"),
+            ("--reps", "abc"), ("--capacity", "abc"), ("--reps", "2.5"),
         ]:
             assert main(["simulate", flag, value, "--out", out]) == 1
             err = capsys.readouterr().err
@@ -200,6 +233,8 @@ class TestSimulateCommand:
             {"terminals": 12.9},
             {"seed": 1.5},
             {"reps": 2.5, "fasb_range": [2.7, 3], "terminals": 12.9},
+            {"fasb_range": 3.5},
+            {"terminal_count": 5},
         ]:
             cfg = write(tmp_path, "cfg.json", json.dumps(config))
             assert main(["simulate", "--config", cfg, "--out", out]) == 1

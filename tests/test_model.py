@@ -186,6 +186,14 @@ class TestTerminalAndBeam:
             with pytest.raises(ConfigurationError, match="epoch 2.*non-negative finite"):
                 UserTerminal(id=1, demand={1: 1.0, 2: rate})
 
+    def test_terminal_rejects_fractional_epoch(self):
+        # Truncating 1.5 to 1 would let the later sample overwrite it.
+        with pytest.raises(ConfigurationError, match="epoch.*whole number"):
+            UserTerminal(1, {1.5: 2.0, 1: 9.0})
+        terminal = UserTerminal(1, {2.0: 2.0, np.int64(3): 3.0})
+        assert terminal.demand == {2: 2.0, 3: 3.0}
+        assert all(type(epoch) is int for epoch in terminal.demand)
+
     def test_terminal_rejects_bad_id(self):
         with pytest.raises(ConfigurationError):
             UserTerminal(id=0, demand={1: 1.0})
@@ -233,6 +241,11 @@ class TestAssignment:
     def test_rejects_duplicate_terminal(self):
         with pytest.raises(ValueError, match="terminal"):
             Assignment(pairs=((1, 1), (1, 2)), total_cost=0.0)
+        with pytest.raises(ValueError, match="terminal.*whole number"):
+            Assignment(pairs=((1.5, 2),), total_cost=0.0)
+        whole = Assignment(pairs=((np.float64(1), np.int64(2)),), total_cost=0.0)
+        assert whole.pairs == ((1, 2),)
+        assert all(type(index) is int for index in whole.pairs[0])
 
     def test_rejects_duplicate_beam(self):
         with pytest.raises(ValueError, match="beam"):
@@ -255,3 +268,8 @@ class TestAuctionOutcome:
             AuctionOutcome(assignment=a, payments={})
         with pytest.raises(ValueError, match="exactly"):
             AuctionOutcome(assignment=a, payments={(1, 1): 5.0, (2, 2): 1.0})
+        # A fractional key is refused, not truncated onto a winning pair.
+        b = Assignment(pairs=((1, 2),), total_cost=0.0)
+        with pytest.raises(ValueError, match="whole number"):
+            AuctionOutcome(assignment=b, payments={(1.5, 2): 3.0})
+        assert AuctionOutcome(b, {(1.0, np.int64(2)): 3.0}).payments == {(1, 2): 3.0}

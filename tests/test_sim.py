@@ -52,6 +52,13 @@ class TestGenerateScenario:
             generate_scenario(3, 2, capacity=np.inf)
         with pytest.raises(ConfigurationError):
             generate_scenario(3, 2, demand_high=np.inf)
+        for seed in (1.5, -1):
+            with pytest.raises(ConfigurationError, match="seed"):
+                generate_scenario(3, 2, seed=seed)
+        whole = generate_scenario(3.0, np.int64(2), seed=5.0)
+        assert (whole.n_terminals, whole.n_beams, whole.rng_seed) == (3, 2, 5)
+        same = build_bid_matrix(generate_scenario(3, 2, seed=5))
+        assert np.array_equal(build_bid_matrix(whole).values, same.values)
 
 
 class TestExperimentConfig:
