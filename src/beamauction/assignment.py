@@ -23,7 +23,9 @@ would raise the re-summed total is refused. When the kernel's matching
 serves the whole short side and is the only tight edge of every
 short-side vertex, the optimum is forced and is returned as it is.
 
-Totals are summed over matched pairs in beam order. The paper's matrix,
+A total is ``math.fsum`` of the matched bids, the correctly rounded sum,
+so optima holding the same bids in different cells have equal totals and
+no caller needs to know an order to reproduce one. The paper's matrix,
 padded to square with a dummy cost above every bid, has the same optimum
 for every such cost, so :func:`solve_rectangular` validates a given
 ``dummy_cost`` and otherwise ignores it.
@@ -149,12 +151,8 @@ def _shortest_augmenting_paths(
 
 
 def _resum(values: np.ndarray, term: Sequence[int]) -> float:
-    """Total of the matched bids, added in beam order."""
-    total = 0.0
-    for j, i in enumerate(term):
-        if i >= 0:
-            total += float(values[i, j])
-    return total
+    """Correctly rounded total of the matched bids, whatever their order."""
+    return math.fsum(values[i, j] for j, i in enumerate(term) if i >= 0)
 
 
 def _handover_tree(
@@ -425,8 +423,11 @@ def brute_force_min_assignment(
     # Columns ascending, terminals ascending before skipping: candidates
     # are visited in canonical lexicographic order, so the first optimum
     # found is the tie-broken one and equal-cost revisits can be pruned.
-    def search(j: int, count: int, total: float) -> None:
+    # Bids are non-negative and rounding is monotone, so a branch whose
+    # partial total already reaches the best can only total as much.
+    def search(j: int, count: int) -> None:
         nonlocal best_total, best_pairs
+        total = math.fsum(values[r - 1, c - 1] for r, c in chosen)
         if best_total is not None and total >= best_total:
             return
         if j == n:
@@ -441,13 +442,13 @@ def brute_force_min_assignment(
                 continue
             used[i] = True
             chosen.append((i + 1, j + 1))
-            search(j + 1, count + 1, total + float(values[i, j]))
+            search(j + 1, count + 1)
             chosen.pop()
             used[i] = False
         if count + (n - j - 1) >= target:
-            search(j + 1, count, total)
+            search(j + 1, count)
 
-    search(0, 0, 0.0)
+    search(0, 0)
     if best_total is None:  # pragma: no cover - target is always reachable
         raise AssertionError("enumeration failed to reach the matching bound")
     return Assignment(best_pairs, best_total)

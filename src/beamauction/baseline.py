@@ -9,6 +9,7 @@ later beam needed.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +38,10 @@ def greedy_allocate(
     # and argmin's first minimum is the smallest terminal id.
     remaining = bids.values.T[[j - 1 for j in order[:m]]]
     pairs: list[tuple[int, int]] = []
+    costs: list[float] = []
     for j, row in zip(order, remaining):
         i = int(row.argmin())
+        costs.append(row[i])
         remaining[:, i] = np.inf
         pairs.append((i + 1, j))
-
-    pairs.sort(key=lambda p: p[1])
-    total = 0.0
-    for i, j in pairs:
-        total += float(bids.values[i - 1, j - 1])
-    return Assignment(tuple(pairs), total)
+    return Assignment(tuple(pairs), math.fsum(costs))

@@ -91,12 +91,12 @@ def format_bid_matrix(bids: BidMatrix) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
+        with open(args.matrix, "r", encoding="utf-8-sig") as handle:  # skips a BOM
             bids = parse_bid_matrix(handle.read())
     except OSError as exc:
         print(f"error: cannot read {args.matrix}: {exc}", file=sys.stderr)
         return 1
-    except BidMatrixParseError as exc:
+    except ValueError as exc:  # not UTF-8, a bad cell, or a bid above the limit
         print(f"error: {args.matrix}: {exc}", file=sys.stderr)
         return 1
 

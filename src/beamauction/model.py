@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -73,6 +74,7 @@ class UserTerminal:
     demand: Mapping[int, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", _whole("terminal id", self.id))
         if self.id < 1:
             raise ConfigurationError(f"terminal id must be >= 1, got {self.id}")
         demand = {}
@@ -88,7 +90,7 @@ class UserTerminal:
 
     def demand_at(self, epoch: int) -> float:
         try:
-            return self.demand[epoch]
+            return self.demand[_whole("epoch", epoch)]
         except KeyError:
             raise ConfigurationError(
                 f"terminal {self.id} has no demand sample at epoch {epoch}"
@@ -104,6 +106,8 @@ class SpotBeam:
     available_at: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", _whole("beam id", self.id))
+        object.__setattr__(self, "available_at", _whole("epoch", self.available_at))
         if self.id < 1:
             raise ConfigurationError(f"beam id must be >= 1, got {self.id}")
         if not math.isfinite(self.capacity) or self.capacity <= 0:
@@ -137,8 +141,11 @@ class BidMatrix:
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("bid matrix must be a non-empty 2-D array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("bid matrix entries must be finite")
+        # Bids up to the float maximum / (2 min(M, N) + 2) keep every total,
+        # exclusion total and potential finite; NaN fails the comparison.
+        limit = sys.float_info.max / (2 * min(values.shape) + 2)
+        if not np.all(values <= limit):
+            raise ValueError(f"bid matrix entries must be finite and <= {limit!r}")
         if np.any(values < 0):
             raise ValueError("bid matrix entries must be non-negative")
         values.setflags(write=False)
@@ -218,10 +225,7 @@ class Assignment:
 
     def terminal_for(self, beam: int) -> int | None:
         """The terminal assigned to ``beam``, or None if the beam is unserved."""
-        for i, j in self.pairs:
-            if j == beam:
-                return i
-        return None
+        return {j: i for i, j in self.pairs}.get(_whole("beam", beam))
 
 
 @dataclass(frozen=True)
@@ -254,10 +258,10 @@ class Scenario:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        terminals = tuple(self.terminals)
-        beams = tuple(self.beams)
+        terminals, beams = tuple(self.terminals), tuple(self.beams)
         object.__setattr__(self, "terminals", terminals)
         object.__setattr__(self, "beams", beams)
+        object.__setattr__(self, "rng_seed", _whole("rng_seed", self.rng_seed))
         if not beams:
             raise ConfigurationError("a scenario needs at least one beam")
         if [t.id for t in terminals] != list(range(1, len(terminals) + 1)):

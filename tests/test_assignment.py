@@ -6,6 +6,7 @@ against the oracle on random instances, including tie-heavy integer
 matrices where the lexicographic tie-break does real work.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from beamauction import (
     brute_force_min_assignment,
     default_dummy_cost,
+    greedy_allocate,
+    payment,
     solve_rectangular,
     solve_rectangular_forbidden,
     solve_square,
@@ -225,6 +228,37 @@ class TestSolverAgainstOracle:
         assert solve_rectangular([[1.0, 1.0], [1.0, 1.0]]).pairs == ((1, 1), (2, 2))
         assert len(calls) == before + 1
 
+    def test_decimal_ties_match_the_oracle(self):
+        # Decimal bids put equal bids in different cells of equal-cost
+        # optima; summed in different orders, their totals could round one
+        # ulp apart and split the solver from the oracle.
+        fixed = [
+            [0.7, 0.3, 0.3, 0.1, 0.3],
+            [0.3, 0.1, 0.1, 0.1, 0.1],
+            [0.1, 0.3, 0.2, 0.2, 0.7],
+            [0.7, 0.2, 0.1, 0.2, 0.2],
+            [0.1, 0.3, 0.1, 0.1, 0.2],
+        ]
+        got = solve_rectangular(fixed)
+        assert got.pairs == ((3, 1), (2, 2), (4, 3), (1, 4), (5, 5))
+        assert got.total_cost == 0.6000000000000001
+        assert brute_force_min_assignment(fixed) == got
+        rng = seeded_rng(114)
+        cases = [np.array(fixed)]
+        for _ in range(300):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(1, m + 1))
+            cases.append(rng.choice([0.1, 0.2, 0.3, 0.7], size=(m, n)))
+        for bids in cases:
+            got = solve_rectangular(bids)
+            want = brute_force_min_assignment(bids)
+            assert got.pairs == want.pairs
+            assert got.total_cost == want.total_cost
+            for i, j in got.pairs:
+                relaxed = brute_force_min_assignment(bids, [(i, j)]).total_cost
+                expected = relaxed - (want.total_cost - bids[i - 1, j - 1])
+                assert payment(bids, got, i, j) == expected
+
     def test_forbidden_resolves_match_oracle(self):
         rng = seeded_rng(103)
         for _ in range(200):
@@ -384,10 +418,12 @@ class TestSolverProperties:
             assert mapped == set(shuffled.pairs)
 
     def test_total_is_sum_of_matched_entries(self):
+        # A total is the correctly rounded sum of its bids, in any order.
         rng = seeded_rng(107)
         for _ in range(100):
             m, n = draw_dims(rng, 6)
             bids = draw_bids(rng, m, n)
-            result = solve_rectangular(bids)
-            recomputed = sum(bids[i - 1, j - 1] for i, j in result.pairs)
-            assert abs(result.total_cost - recomputed) <= 1e-12
+            order = [int(j) for j in rng.permutation(n) + 1]
+            for result in (solve_rectangular(bids), greedy_allocate(bids, order)):
+                matched = [bids[i - 1, j - 1] for i, j in result.pairs]
+                assert result.total_cost == math.fsum(matched)

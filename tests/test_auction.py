@@ -8,14 +8,19 @@ but manipulable once a bidder holds several bids, because the re-solve
 for an excluded pair may route through that bidder's other entries.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from beamauction import (
+    assignment,
     brute_force_min_assignment,
     determine_winners,
     payment,
     run_auction,
+    solve_rectangular_forbidden,
     utility_of_report,
 )
 from helpers import draw_bids, draw_dims, draw_tie_heavy_bids, seeded_rng
@@ -59,7 +64,8 @@ class TestPayment:
     def test_loser_pays_zero_when_an_equal_cost_optimum_sums_differently(self):
         # The winners (1,1),(2,2),(3,3) total 0.6; the equal-cost matching
         # (3,1),(2,2),(1,3) sums to 0.6000000000000001 in beam order, so a
-        # re-solve that returned it would charge e.g. pair (2,1) 1.1e-16.
+        # re-solve that returned a beam-order total would charge e.g. pair
+        # (2,1) 1.1e-16. Correctly rounded totals make both exactly 0.6.
         bids = [[0.3, 9.0, 0.3], [9.0, 0.2, 9.0], [0.1, 9.0, 0.1]]
         winners = determine_winners(bids)
         assert winners.pairs == ((1, 1), (2, 2), (3, 3))
@@ -198,6 +204,44 @@ class TestPaymentScale:
                         oracle_full.total_cost - bids[i - 1, j - 1]
                     )
                     assert payment(bids, winners, i, j) == expected
+
+    def test_bids_above_the_limit_are_refused(self):
+        # Past the limit, pair (3, 1)'s payment (exactly 1e308) overflowed to inf.
+        with pytest.raises(ValueError, match="finite and <= "):
+            run_auction([[1e308, 1.7e308], [1.7e308, 1e308], [0, 1.5e308]])
+
+    def test_bids_at_the_limit_keep_every_sum_finite(self, monkeypatch):
+        # Totals, exclusion totals and the kernel's potentials all stay
+        # finite, with no numpy overflow on the way.
+        kernel = assignment._shortest_augmenting_paths
+        potentials = []
+
+        def recording(cost, max_cardinality=False):
+            result = kernel(cost, max_cardinality)
+            potentials.append(result[2:])
+            return result
+
+        monkeypatch.setattr(assignment, "_shortest_augmenting_paths", recording)
+        rng = seeded_rng(206)
+        for case in range(400):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))  # N > M too
+            bids = (draw_bids, draw_tie_heavy_bids)[case % 2](rng, m, n)
+            limit = np.finfo(float).max / (2 * min(m, n) + 2)
+            bids = np.minimum(bids / max(bids.max(), 1.0) * limit, limit)
+            bids.flat[rng.integers(m * n)] = limit
+            cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+            forbidden = [c for c in cells if rng.random() < 0.3]
+            del potentials[:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                outcome = run_auction(bids)
+                excluded = solve_rectangular_forbidden(bids, forbidden)
+            assert math.isfinite(outcome.assignment.total_cost)
+            assert math.isfinite(excluded.total_cost)
+            assert all(math.isfinite(p) for p in outcome.payments.values())
+            for u, v, level in potentials:
+                assert np.isfinite(u).all() and np.isfinite(v).all()
+                assert math.isfinite(level)
 
 
 class TestIncentives:

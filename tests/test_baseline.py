@@ -1,5 +1,7 @@
 """Greedy baseline: behavior, tie-breaks, and dominance by the optimum."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,7 @@ def reference_greedy(bids, order):
         taken[best_i] = True
         pairs.append((best_i + 1, j))
     pairs.sort(key=lambda p: p[1])
-    total = 0.0
-    for i, j in pairs:
-        total += float(bids[i - 1, j - 1])
-    return tuple(pairs), total
+    return tuple(pairs), math.fsum(bids[i - 1, j - 1] for i, j in pairs)
 
 
 class TestGreedyAllocate:

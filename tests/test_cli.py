@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from beamauction import as_bid_matrix
+from beamauction import Assignment, as_bid_matrix, cli
 from beamauction.cli import (
     BidMatrixParseError,
     format_bid_matrix,
@@ -80,10 +80,30 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
         assert "row 2, column 2" in err
+        # A bid above the size limit is refused with one line, not a traceback.
+        path = write(tmp_path, "big.csv", "1e308,1.7e308\n1.7e308,1e308\n0,1.5e308\n")
+        assert main(["solve", path, "--payments"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bid matrix entries must be finite")
+        assert err.count("\n") == 1
+        # So is a file that is not UTF-8.
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"1,\xe93\n2,5\n")
+        assert main(["solve", str(latin)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin}: 'utf-8' codec") and err.count("\n") == 1
 
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["solve", "/nonexistent/matrix.csv"]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Spreadsheet exports often start a UTF-8 CSV with a byte-order mark.
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,3\n2,5\n")
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["1,2,3.000000", "2,1,2.000000", "total,5.000000"]
 
     def test_more_beams_than_terminals_warns_but_solves(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "3,1,2\n")
@@ -204,6 +224,14 @@ class TestSimulateCommand:
         assert main(base + ["--seed", "100", "--out", out_b]) == 0
         assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
 
+    def test_unwritable_output_exits_nonzero(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "r.csv")
+        args = ["simulate", "--terminals", "4", "--fasb-range", "2", "--reps", "1"]
+        assert main(args + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", json.dumps({"terminal_count": 5}))
         assert main(["simulate", "--config", cfg]) == 1
@@ -246,6 +274,22 @@ class TestVerifyCommand:
     def test_small_verification_passes(self, capsys):
         assert main(["verify", "--max-dim", "4", "--cases", "40", "--seed", "2"]) == 0
         assert "40/40 passed" in capsys.readouterr().out
+
+    def test_failed_checks_exit_nonzero(self, monkeypatch, capsys):
+        solve = cli.solve_rectangular
+
+        def off_by_one(bids, dummy_cost=None):
+            right = solve(bids, dummy_cost)
+            return Assignment(right.pairs, right.total_cost + 1.0)
+
+        monkeypatch.setattr(cli, "solve_rectangular", off_by_one)
+        assert main(["verify", "--max-dim", "3", "--cases", "30", "--seed", "2"]) == 1
+        captured = capsys.readouterr()
+        fails = captured.err.splitlines()
+        assert len(fails) == 20  # the report stops at 20 failed cases
+        assert all(line.startswith("FAIL case ") for line in fails)
+        assert "solver total" in fails[0]
+        assert captured.out.splitlines() == ["0/30 passed"]
 
     def test_max_dim_above_oracle_scope_is_an_error(self, capsys):
         assert main(["verify", "--max-dim", "9"]) == 2

@@ -1,5 +1,8 @@
 """Domain types and spare-capacity bid construction."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +80,11 @@ class TestBuildBidMatrix:
         )
         expected = [[50.0, 10.0], [30.0, 20.0]]
         assert build_bid_matrix(scenario).values.tolist() == expected
+        # Any whole-number form of an epoch reads the same sample.
+        for epoch in ("2", 2.0, np.int64(2)):
+            beams = (beam(j=1, available_at=1), beam(j=2, available_at=epoch))
+            again = Scenario(terminals=scenario.terminals, beams=beams, rng_seed=0)
+            assert build_bid_matrix(again).values.tolist() == expected
 
     def test_saturated_demand_gives_all_zero_matrix(self):
         scenario = Scenario(
@@ -156,6 +164,18 @@ class TestBidMatrix:
         with pytest.raises(ValueError, match="finite"):
             BidMatrix(np.array([[np.inf, 1.0]]))
 
+    def test_rejects_bids_whose_sums_could_overflow(self):
+        # The limit is the float maximum / (2 min(M, N) + 2).
+        top = sys.float_info.max
+        for shape in ((1, 1), (3, 2), (2, 5)):
+            limit = top / (2 * min(shape) + 2)
+            at_limit = np.full(shape, limit)
+            assert BidMatrix(at_limit).max_bid == limit
+            at_limit[-1, -1] = np.nextafter(limit, np.inf)
+            message = re.escape(f"finite and <= {limit!r}")
+            with pytest.raises(ValueError, match=message):
+                BidMatrix(at_limit)
+
     def test_rejects_empty_or_non_2d(self):
         with pytest.raises(ValueError):
             BidMatrix(np.empty((0, 3)))
@@ -197,14 +217,32 @@ class TestTerminalAndBeam:
     def test_terminal_rejects_bad_id(self):
         with pytest.raises(ConfigurationError):
             UserTerminal(id=0, demand={1: 1.0})
+        with pytest.raises(ConfigurationError, match="id.*whole number"):
+            UserTerminal(id=1.5, demand={1: 1.0})
+        for whole in ("1", 1.0, np.int64(1)):
+            terminal = UserTerminal(id=whole, demand={1: 5.0})
+            assert terminal.id == 1 and type(terminal.id) is int
 
     def test_demand_at_missing_epoch(self):
         with pytest.raises(ConfigurationError, match="epoch 9"):
             UserTerminal(id=1, demand={1: 1.0}).demand_at(9)
+        terminal = UserTerminal(id=1, demand={2: 5.0})
+        assert [terminal.demand_at(e) for e in ("2", 2.0, np.int64(2))] == [5.0] * 3
+        with pytest.raises(ConfigurationError, match="whole number"):
+            terminal.demand_at(1.5)
 
     def test_beam_rejects_non_positive_capacity(self):
         with pytest.raises(ConfigurationError):
             SpotBeam(id=1, capacity=0.0, available_at=1)
+
+    def test_beam_id_and_epoch_are_whole_numbers(self):
+        with pytest.raises(ConfigurationError, match="epoch.*whole number"):
+            SpotBeam(id=1, capacity=150.0, available_at=1.5)
+        with pytest.raises(ConfigurationError, match="id.*whole number"):
+            SpotBeam(id=1.5, capacity=150.0, available_at=1)
+        whole = SpotBeam(id="1", capacity=150.0, available_at=np.float64(2))
+        assert (whole.id, whole.available_at) == (1, 2)
+        assert type(whole.id) is int and type(whole.available_at) is int
 
     def test_availability_order_breaks_ties_by_id(self):
         beams = [
@@ -213,6 +251,8 @@ class TestTerminalAndBeam:
             SpotBeam(id=2, capacity=1.0, available_at=2),
         ]
         assert availability_order(beams) == [2, 3, 1]
+        mixed = [SpotBeam(1, 150.0, "2"), SpotBeam(2, 150.0, 1)]
+        assert availability_order(mixed) == [2, 1]
 
 
 class TestScenario:
@@ -223,6 +263,14 @@ class TestScenario:
                 beams=(beam(),),
                 rng_seed=0,
             )
+
+    def test_rng_seed_is_a_whole_number(self):
+        parts = {"terminals": (UserTerminal(id=1, demand={1: 1.0}),),
+                 "beams": (beam(),)}
+        with pytest.raises(ConfigurationError, match="rng_seed.*whole number"):
+            Scenario(**parts, rng_seed=1.5)
+        seed = Scenario(**parts, rng_seed="7").rng_seed
+        assert seed == 7 and type(seed) is int
 
     def test_requires_oversubscribed_terminals(self):
         with pytest.raises(ConfigurationError, match="oversubscribed"):
@@ -256,6 +304,9 @@ class TestAssignment:
         assert len(a) == 2
         assert a.terminal_for(1) == 2
         assert a.terminal_for(3) is None
+        assert a.terminal_for("2") == a.terminal_for(2.0) == 1
+        with pytest.raises(ConfigurationError, match="whole number"):
+            a.terminal_for(1.5)
         assert (1, 2) in a.pair_set
         assert a.terminals == {1, 2}
         assert a.beams == {1, 2}
