@@ -86,7 +86,8 @@ def _shortest_augmenting_paths(
     Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
     unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
     equality on matched pairs, ``v <= 0`` with ``v == 0`` on free
-    columns, and ``u <= level`` with equality on free rows.
+    columns and, only when the restart left rows free, ``u <= level``
+    with equality on those rows.
     """
     n, m = cost.shape
     u = np.zeros(n)
@@ -434,8 +435,6 @@ def brute_force_min_assignment(
             if count == target:
                 best_total = total
                 best_pairs = tuple(chosen)
-            return
-        if count + (n - j) < target:
             return
         for i in range(m):
             if used[i] or not allowed[i][j]:

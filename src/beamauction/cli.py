@@ -329,7 +329,8 @@ def _parser() -> argparse.ArgumentParser:
         "verify", help="cross-check solver and payments against the oracle"
     )
     p_verify.add_argument(
-        "--max-dim", type=int, default=5, help="largest terminal count (<= 8)"
+        "--max-dim", type=int, default=5,
+        help=f"largest terminal count (<= {_ORACLE_MAX_DIM})",
     )
     p_verify.add_argument(
         "--cases", type=int, default=200, help="number of random instances"

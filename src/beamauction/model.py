@@ -144,10 +144,12 @@ class BidMatrix:
         # Bids up to the float maximum / (2 min(M, N) + 2) keep every total,
         # exclusion total and potential finite; NaN fails the comparison.
         limit = sys.float_info.max / (2 * min(values.shape) + 2)
-        if not np.all(values <= limit):
-            raise ValueError(f"bid matrix entries must be finite and <= {limit!r}")
-        if np.any(values < 0):
-            raise ValueError("bid matrix entries must be non-negative")
+        for ok, rule in ((values <= limit, f"finite and <= {limit!r}"),
+                         (values >= 0, "non-negative")):
+            if not ok.all():  # name the first refused cell, row-major
+                i, j = np.argwhere(~ok)[0]
+                raise ValueError(f"bid matrix entries must be {rule}; row {i + 1}, "
+                                 f"column {j + 1} holds {float(values[i, j])!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

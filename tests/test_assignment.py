@@ -23,6 +23,7 @@ from beamauction import (
     solve_rectangular_forbidden,
     solve_square,
 )
+from beamauction.assignment import _shortest_augmenting_paths
 from helpers import draw_bids, draw_dims, draw_tie_heavy_bids, seeded_rng
 
 
@@ -326,6 +327,45 @@ class TestKernelAgainstScipy:
         rows, cols = linear_sum_assignment(bids)
         assert result.total_cost == float(bids[rows, cols].sum())
         assert len(result) == 8
+
+
+class TestKernelContract:
+    """The dual potentials ``_solve`` reads from the shortest-path kernel."""
+
+    def test_potentials_meet_the_documented_postconditions(self):
+        rng = seeded_rng(115)
+        restarts = 0
+        for case in range(3000):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))  # N > M too
+            kind = case % 3
+            bids = (draw_bids if kind == 0 else draw_tie_heavy_bids)(rng, m, n)
+            if kind == 2:
+                bids[rng.random((m, n)) < 0.35] = np.inf
+            short = np.ascontiguousarray(bids.T) if m >= n else bids
+            col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
+            # The tolerance ``_solve`` judges tightness with.
+            size = int((col4row >= 0).sum())
+            finite = np.isfinite(short)
+            scale = max(float(short[finite].max(initial=0.0)), u.max(), -v.min())
+            eps = (2 * size + 2) * math.ulp(scale)
+            reduced = short - u[:, None] - v
+            assert (reduced[finite] >= -eps).all()
+            matched = np.flatnonzero(col4row >= 0)
+            assert (np.abs(reduced[matched, col4row[matched]]) <= eps).all()
+            assert (v <= 0).all() and (v[row4col < 0] == 0).all()
+            free = col4row < 0
+            if free.any():
+                restarts += 1
+                assert (u <= level).all() and (u[free] == level).all()
+        assert restarts >= 20
+
+    def test_restart_discards_the_one_row_potentials(self):
+        # Terminal 2 may take no beam, so the one-row searches find no
+        # augmenting path and the kernel restarts; carrying their
+        # potentials over would serve beam 1 with terminal 1 at 10.
+        result = solve_rectangular_forbidden([[10, 1], [5, 5]], [(2, 1), (2, 2)])
+        assert result.pairs == ((1, 2),)
+        assert result.total_cost == 1.0
 
 
 class TestBidScale:

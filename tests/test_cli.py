@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: bid matrix entries must be finite")
         assert err.count("\n") == 1
+        assert "row 1, column 1" in err
         # So is a file that is not UTF-8.
         latin = tmp_path / "latin.csv"
         latin.write_bytes(b"1,\xe93\n2,5\n")
@@ -268,6 +270,12 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", cfg, "--out", out]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        # A config file that is missing or not JSON cannot be read.
+        bad_json = write(tmp_path, "bad.json", '{"seed": ')
+        for cfg in [str(tmp_path / "missing.json"), bad_json]:
+            assert main(["simulate", "--config", cfg, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -290,10 +298,23 @@ class TestVerifyCommand:
         assert all(line.startswith("FAIL case ") for line in fails)
         assert "solver total" in fails[0]
         assert captured.out.splitlines() == ["0/30 passed"]
+        # A payment rule that charges every pair -1 fails both payment checks.
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "payment", lambda bids, winners, i, j: -1.0)
+        assert main(["verify", "--max-dim", "3", "--cases", "30", "--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "payment below bid at (" in err
+        assert re.search(r"losing pair \(\d,\d\) pays -1\.0", err)
 
     def test_max_dim_above_oracle_scope_is_an_error(self, capsys):
         assert main(["verify", "--max-dim", "9"]) == 2
         assert "oracle limit" in capsys.readouterr().err
+        for flag, value, message in [
+            ("--max-dim", "0", "--max-dim must be >= 1"),
+            ("--cases", "-1", "--cases must be >= 0"),
+        ]:
+            assert main(["verify", flag, value]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_cases_is_a_vacuous_pass_with_warning(self, capsys):
         assert main(["verify", "--cases", "0"]) == 0

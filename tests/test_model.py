@@ -155,14 +155,18 @@ class TestBuildBidMatrix:
 
 class TestBidMatrix:
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        message = "non-negative; row 1, column 2 holds -0.5$"
+        with pytest.raises(ValueError, match=message):
             BidMatrix(np.array([[1.0, -0.5]]))
+        # The first refused cell in row-major order is named.
+        with pytest.raises(ValueError, match="row 2, column 1 holds -inf$"):
+            BidMatrix(np.array([[1.0, 2.0], [-np.inf, -1.0]]))
 
     def test_rejects_non_finite_entries(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite.*; row 1, column 1 holds nan$"):
             BidMatrix(np.array([[np.nan, 1.0]]))
-        with pytest.raises(ValueError, match="finite"):
-            BidMatrix(np.array([[np.inf, 1.0]]))
+        with pytest.raises(ValueError, match="finite.*; row 1, column 2 holds inf$"):
+            BidMatrix(np.array([[1.0, np.inf], [np.nan, 1.0]]))
 
     def test_rejects_bids_whose_sums_could_overflow(self):
         # The limit is the float maximum / (2 min(M, N) + 2).
@@ -171,8 +175,10 @@ class TestBidMatrix:
             limit = top / (2 * min(shape) + 2)
             at_limit = np.full(shape, limit)
             assert BidMatrix(at_limit).max_bid == limit
-            at_limit[-1, -1] = np.nextafter(limit, np.inf)
-            message = re.escape(f"finite and <= {limit!r}")
+            above = float(np.nextafter(limit, np.inf))
+            at_limit[-1, -1] = above
+            cell = f"row {shape[0]}, column {shape[1]} holds {above!r}"
+            message = re.escape(f"finite and <= {limit!r}; {cell}") + "$"
             with pytest.raises(ValueError, match=message):
                 BidMatrix(at_limit)
 
@@ -236,6 +242,8 @@ class TestTerminalAndBeam:
             SpotBeam(id=1, capacity=0.0, available_at=1)
 
     def test_beam_id_and_epoch_are_whole_numbers(self):
+        with pytest.raises(ConfigurationError, match="beam id must be >= 1"):
+            SpotBeam(0, 150.0, 1)
         with pytest.raises(ConfigurationError, match="epoch.*whole number"):
             SpotBeam(id=1, capacity=150.0, available_at=1.5)
         with pytest.raises(ConfigurationError, match="id.*whole number"):
@@ -263,6 +271,11 @@ class TestScenario:
                 beams=(beam(),),
                 rng_seed=0,
             )
+        terminals = tuple(UserTerminal(id=i, demand={1: 1.0}) for i in (1, 2, 3))
+        with pytest.raises(ConfigurationError, match="contiguous"):
+            Scenario(terminals=terminals, beams=(beam(j=1), beam(j=3)), rng_seed=0)
+        with pytest.raises(ConfigurationError, match="at least one beam"):
+            Scenario(terminals=terminals, beams=(), rng_seed=0)
 
     def test_rng_seed_is_a_whole_number(self):
         parts = {"terminals": (UserTerminal(id=1, demand={1: 1.0}),),

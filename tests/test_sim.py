@@ -86,6 +86,8 @@ class TestExperimentConfig:
             ExperimentConfig(capacity=np.inf)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(demand_high=np.inf)
+        with pytest.raises(ConfigurationError, match="rng_seed must be >= 0"):
+            ExperimentConfig(rng_seed=-1)
         for fractional in [
             {"n_terminals": 12.9},
             {"beam_counts": (2.7, 3)},
