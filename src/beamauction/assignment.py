@@ -426,15 +426,16 @@ def brute_force_min_assignment(
     # found is the tie-broken one and equal-cost revisits can be pruned.
     # Bids are non-negative and rounding is monotone, so a branch whose
     # partial total already reaches the best can only total as much.
+    # Every branch keeps count + (n - j) >= target, so each leaf holds a
+    # maximum matching, and the branch that follows one always gets there.
     def search(j: int, count: int) -> None:
         nonlocal best_total, best_pairs
         total = math.fsum(values[r - 1, c - 1] for r, c in chosen)
         if best_total is not None and total >= best_total:
             return
         if j == n:
-            if count == target:
-                best_total = total
-                best_pairs = tuple(chosen)
+            best_total = total
+            best_pairs = tuple(chosen)
             return
         for i in range(m):
             if used[i] or not allowed[i][j]:
@@ -448,6 +449,4 @@ def brute_force_min_assignment(
             search(j + 1, count)
 
     search(0, 0)
-    if best_total is None:  # pragma: no cover - target is always reachable
-        raise AssertionError("enumeration failed to reach the matching bound")
     return Assignment(best_pairs, best_total)

@@ -49,36 +49,38 @@ class BidMatrixParseError(ValueError):
 
 
 def parse_bid_matrix(text: str) -> BidMatrix:
-    """Parse headerless CSV (one row per terminal) into a bid matrix."""
+    """Parse headerless CSV (one row per terminal) into a bid matrix.
+
+    Blank lines are skipped and every cell is read by ``float()``. A cell
+    it refuses or a ragged row is reported first, in row order; then
+    :class:`BidMatrix` names the first value it refuses.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise BidMatrixParseError("bid matrix file is empty")
+    width = lines[0].count(",") + 1
     rows: list[list[float]] = []
-    width = None
     for r, line in enumerate(lines, start=1):
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if len(cells) != width:
             raise BidMatrixParseError(
                 f"row {r} has {len(cells)} entries, expected {width}"
             )
-        row = []
-        for c, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise BidMatrixParseError(
-                    f"row {r}, column {c}: cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value) or value < 0:
-                raise BidMatrixParseError(
-                    f"row {r}, column {c}: bids must be non-negative finite "
-                    f"numbers, got {cell.strip()}"
-                )
-            row.append(value)
-        rows.append(row)
-    return BidMatrix(rows)
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:  # find the cell float() refused
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise BidMatrixParseError(
+                        f"row {r}, column {c}: cannot parse {cell.strip()!r} "
+                        f"as a number"
+                    ) from None
+    try:
+        return BidMatrix(rows)
+    except ValueError as exc:  # a negative, non-finite or oversized bid
+        raise BidMatrixParseError(str(exc)) from None
 
 
 def format_bid_matrix(bids: BidMatrix) -> str:

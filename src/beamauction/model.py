@@ -10,6 +10,7 @@ winning bid. All rates are in Mbps; ids are 1-based.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -161,7 +162,7 @@ class BidMatrix:
     def n_beams(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @functools.cached_property  # read by every solve of the matrix
     def max_bid(self) -> float:
         return float(self.values.max())
 
@@ -213,7 +214,7 @@ class Assignment:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
+    @functools.cached_property  # read once per pair by ``payment``
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.pairs)
 

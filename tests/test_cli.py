@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamauction import Assignment, as_bid_matrix, cli
 from beamauction.cli import (
@@ -14,13 +16,38 @@ from beamauction.cli import (
     main,
     parse_bid_matrix,
 )
-from helpers import draw_bids, seeded_rng
+from helpers import draw_bids, draw_tie_heavy_bids, seeded_rng
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+GOOD_CELLS = ["1", " 2.5 ", "1_0", "-0", "0.1"]
+CELLS = st.sampled_from(GOOD_CELLS * 6 + ["nan", "inf", "-1", "1e400", "x", ""])
+
+
+def per_cell_parse(text):
+    """The array a per-cell float() loop reads, or its error message."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not rows:
+        return "empty"
+    values = []
+    for r, cells in enumerate(rows, start=1):
+        if len(cells) != len(rows[0]):
+            return f"row {r} has {len(cells)} entries"
+        values.append([])
+        for c, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"row {r}, column {c}: cannot parse"
+            if not np.isfinite(value) or value < 0:
+                return f"row {r}, column {c}: refused"
+            values[-1].append(value)
+    return np.array(values, dtype=float)
 
 
 class TestParseBidMatrix:
@@ -43,6 +70,46 @@ class TestParseBidMatrix:
     def test_empty_file_is_rejected(self):
         with pytest.raises(BidMatrixParseError, match="empty"):
             parse_bid_matrix("\n\n")
+
+    def test_text_errors_come_before_refused_values(self):
+        # A cell float() refuses is reported before a negative bid in an
+        # earlier row; refused values are then named in BidMatrix's form.
+        with pytest.raises(BidMatrixParseError, match="row 2, column 2: cannot parse"):
+            parse_bid_matrix("1,-2\n3,x\n")
+        with pytest.raises(BidMatrixParseError, match="row 3 has 1 entries"):
+            parse_bid_matrix("1,-2\n3,4\n5\n")
+        with pytest.raises(
+            BidMatrixParseError,
+            match=r"^bid matrix entries must be non-negative; row 1, column 2 holds -2\.0$",
+        ):
+            parse_bid_matrix("1,-2\n3,4\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reads_what_a_per_cell_loop_reads(self, data):
+        lines = []
+        width = data.draw(st.integers(1, 4))
+        for _ in range(data.draw(st.integers(1, 5))):
+            if data.draw(st.integers(0, 7)) == 0:
+                lines.append(data.draw(st.sampled_from(["", "  "])))
+            ragged = data.draw(st.integers(0, 9)) == 0
+            n = width + (data.draw(st.sampled_from([-1, 1])) if ragged else 0)
+            lines.append(",".join(data.draw(st.lists(CELLS, min_size=n, max_size=n))))
+        text = "\n".join(lines) + "\n"
+
+        expected = per_cell_parse(text)
+        try:
+            got = parse_bid_matrix(text)
+        except BidMatrixParseError as exc:
+            assert isinstance(expected, str), exc
+            located = re.search(r"row \d+, column \d+", str(exc))
+            cells = [line.split(",") for line in text.splitlines() if line.strip()]
+            bad = [cell for row in cells for cell in row if cell not in GOOD_CELLS]
+            if len(bad) == 1 and len({len(row) for row in cells}) == 1:
+                assert located and located.group() in expected
+        else:
+            assert not isinstance(expected, str), expected
+            assert got.values.tobytes() == expected.tobytes()
 
     def test_round_trip_is_exact(self):
         rng = seeded_rng(401)
@@ -114,6 +181,30 @@ class TestSolveCommand:
         assert "warning" in captured.err
         assert captured.out.splitlines() == ["1,2,1.000000", "total,1.000000"]
 
+    def test_payments_output_is_pinned(self, tmp_path, capsys):
+        # Whole-Mbps 40x8 bids as the auction benchmark draws them, whose
+        # per-beam minima tie exactly, then small tie-heavy matrices.
+        rng = seeded_rng(419)
+        matrices = [
+            np.maximum(0.0, 150.0 - rng.integers(50, 151, size=(40, 8)))
+            for _ in range(20)
+        ]
+        matrices += [draw_tie_heavy_bids(rng, 6, 3) for _ in range(20)]
+        out = []
+        for k, bids in enumerate(matrices):
+            text = format_bid_matrix(as_bid_matrix(bids))
+            assert main(["solve", write(tmp_path, f"m{k}.csv", text), "--payments"]) == 0
+            out.append(capsys.readouterr().out)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == REFERENCE_PAYMENTS_SHA256
+
+
+# sha256 of the joined ``solve --payments`` stdout in
+# ``test_payments_output_is_pinned``, recorded before the CSV parser was
+# rewritten.
+REFERENCE_PAYMENTS_SHA256 = (
+    "a84a145498dce305e9fbb0701662157e61696a87efd0dabbac99505286b5aa5d"
+)
 
 # sha256 of the report ``beamauction simulate`` writes with every default.
 REFERENCE_SWEEP_SHA256 = (
