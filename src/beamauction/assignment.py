@@ -30,6 +30,10 @@ padded to square with a dummy cost above every bid, has the same optimum
 for every such cost, so :func:`solve_rectangular` validates a given
 ``dummy_cost`` and otherwise ignores it.
 
+The same potentials price every winning pair of an auction at once:
+each pair's exclusion optimum is the cheapest cycle through it in one
+exchange graph over the winners (``_exclusion_totals``).
+
 ``brute_force_min_assignment`` is the enumeration oracle used by the
 test suite; it shares the tie-break but nothing else with the solver.
 """
@@ -37,7 +41,7 @@ test suite; it shares the tie-break but nothing else with the solver.
 from __future__ import annotations
 
 import math
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,9 +89,9 @@ def _shortest_augmenting_paths(
 
     Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
     unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
-    equality on matched pairs, ``v <= 0`` with ``v == 0`` on free
-    columns and, only when the restart left rows free, ``u <= level``
-    with equality on those rows.
+    equality on matched pairs, ``v <= 0`` exactly, even after rounding,
+    with ``v == 0`` on free columns and, only when the restart left rows
+    free, ``u <= level`` with equality on those rows.
     """
     n, m = cost.shape
     u = np.zeros(n)
@@ -133,8 +137,11 @@ def _shortest_augmenting_paths(
             np.minimum(pending, reduced, out=pending)
 
         for c, dist in zip(scanned, dists):
-            v[c] -= delta - dist
-            u[row4col[c]] += delta - dist
+            # A later pop can land one ulp below an earlier one; skipping
+            # those steps (a no-op in exact arithmetic) keeps ``v <= 0``.
+            if dist < delta:
+                v[c] -= delta - dist
+                u[row4col[c]] += delta - dist
         while True:
             i = free_rows[0] if path is None else int(path[j])
             row4col[j] = i
@@ -283,10 +290,33 @@ def _lex_min_matching(
     return term
 
 
+class _Solved(NamedTuple):
+    """One solve: the canonical matching and the kernel's potentials.
+
+    ``term`` is the 0-based terminal serving each beam (-1 when unserved).
+    ``short`` is the cost matrix as the kernel saw it, short side first
+    (its transpose when ``flip``), and ``u`` / ``v`` are the potentials
+    of its rows / columns.
+    """
+
+    term: list[int]
+    u: np.ndarray
+    v: np.ndarray
+    flip: bool
+    short: np.ndarray
+
+
+def _assignment(bids: BidMatrix, solved: _Solved) -> Assignment:
+    """The public result of a solve: 1-based pairs and their total."""
+    term = solved.term
+    pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
+    return Assignment(pairs, _resum(bids.values, term))
+
+
 def _solve(
     bids: BidMatrix,
     forbidden0: frozenset[tuple[int, int]] = frozenset(),
-) -> Assignment:
+) -> _Solved:
     values = bids.values
     m, n = values.shape
     cost = values
@@ -317,8 +347,89 @@ def _solve(
         else:
             optional_t, optional_b = optional_short, optional_long
         term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
-    pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
-    return Assignment(pairs, _resum(values, term))
+    return _Solved(term, u, v, flip, short)
+
+
+def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
+    """Each winning pair's exclusion total, from one exchange graph.
+
+    ``solved`` must come from a solve without forbidden pairs, so its
+    matching serves the whole short side. Excluding a winning pair moves
+    the matching along the cheapest alternating cycle through that pair's
+    short-side vertex, and the exclusion optimum's extra cost is that
+    cycle's length in reduced costs ``max(cost - u - v, 0)``, taken
+    against the canonical partners.
+
+    The graph has one node per short-side vertex plus node ``n``, which
+    stands for every free long-side vertex. Edge ``a -> b`` means ``a``
+    takes ``b``'s partner; ``a -> n`` means ``a`` takes its cheapest free
+    long-side vertex; ``n -> b`` frees ``b``'s partner, at cost ``-v`` of
+    it since free vertices have ``v == 0``. All weights are >= 0, so one
+    Dijkstra per source, each with its source left unsettled, finds every
+    shortest cycle. The n + 1 searches run in lockstep, and each
+    predecessor is a vertex settled earlier, so every chain ends within
+    n + 1 hops. Each cycle rebuilds its exclusion matching, whose total is
+    ``math.fsum`` of its bids, as a re-solve would report it.
+
+    Costs O(MN + N^3) for all pairs. Returns ``{(terminal, beam): total}``
+    with 1-based ids.
+    """
+    term, u, v, flip, short = solved
+    n, m = short.shape
+    if flip:
+        partner = np.array(term)
+    else:
+        partner = np.empty(n, dtype=int)
+        for j, i in enumerate(term):
+            if i >= 0:
+                partner[i] = j
+    size = n + 1
+    graph = np.full((size, size), _INF)
+    graph[:n, :n] = np.maximum(short[:, partner] - u[:, None] - v[partner], 0.0)
+    np.fill_diagonal(graph, _INF)
+    free = None
+    if m > n:
+        reduced = short - u[:, None]
+        reduced -= v
+        reduced[:, partner] = _INF
+        free = reduced.argmin(axis=1)
+        graph[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
+        graph[n, :n] = -v[partner]
+
+    # Row s is the search from s; s starts unsettled, so dist[s, s] is the
+    # shortest cycle through s and pred[s, x] == s means the edge s -> x.
+    rows = np.arange(size)
+    dist = graph.copy()
+    pred = np.repeat(rows[:, None], size, axis=1)
+    settled = np.zeros((size, size), dtype=bool)
+    for _ in range(size):
+        k = np.where(settled, _INF, dist).argmin(axis=1)
+        settled[rows, k] = True
+        through = dist[rows, k][:, None] + graph[k]
+        better = (through < dist) & ~settled
+        dist = np.where(better, through, dist)
+        pred = np.where(better, k[:, None], pred)
+
+    matched = short[np.arange(n), partner].tolist()
+    partner = partner.tolist()
+    totals = {}
+    for a in range(n):
+        if dist[a, a] == _INF:  # only 1 x 1 has no cycle: nothing is left
+            total = 0.0
+        else:
+            held = matched.copy()
+            x = a
+            for _ in range(size):
+                p = int(pred[a, x])
+                if p < n:  # p takes x's partner, or its free vertex if x == n
+                    held[p] = float(short[p, partner[x] if x < n else free[p]])
+                if p == a:
+                    break
+                x = p
+            total = math.fsum(held)
+        t, b = (partner[a], a) if flip else (a, partner[a])
+        totals[t + 1, b + 1] = total
+    return totals
 
 
 def solve_square(
@@ -335,7 +446,7 @@ def solve_square(
         raise ValueError(
             f"cost matrix must be square, got {bids.n_terminals}x{bids.n_beams}"
         )
-    result = _solve(bids)
+    result = _assignment(bids, _solve(bids))
     return list(result.pairs), result.total_cost
 
 
@@ -354,7 +465,7 @@ def solve_rectangular(
             f"dummy cost {dummy_cost} must be finite and strictly greater "
             f"than the largest bid {bids.max_bid}"
         )
-    return _solve(bids)
+    return _assignment(bids, _solve(bids))
 
 
 def solve_rectangular_forbidden(
@@ -368,7 +479,8 @@ def solve_rectangular_forbidden(
     is returned (possibly empty).
     """
     bids = as_bid_matrix(bids)
-    return _solve(bids, frozenset(bids._cell(i, j) for i, j in forbidden))
+    forbidden0 = frozenset(bids._cell(i, j) for i, j in forbidden)
+    return _assignment(bids, _solve(bids, forbidden0))
 
 
 def _max_matching_size(allowed: list[list[bool]], m: int, n: int) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -241,6 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if alt.pairs != winners.pairs or alt.total_cost != winners.total_cost:
             problems.append("padding-constant invariance violated")
 
+        charged = run_auction(bids).payments
         for i in range(1, m + 1):
             for j in range(1, n + 1):
                 pay = payment(bids, winners, i, j)
@@ -251,6 +253,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     )
                     if abs(pay - expected) > tol:
                         problems.append(f"payment mismatch at ({i},{j})")
+                    if abs(charged.get((i, j), math.inf) - expected) > tol:
+                        problems.append(f"auction payment mismatch at ({i},{j})")
                     if (m, n) != (1, 1) and pay < bids.bid(i, j) - tol:
                         problems.append(f"payment below bid at ({i},{j})")
                 elif pay != 0.0:

@@ -37,3 +37,22 @@ def draw_tie_heavy_bids(
 ) -> np.ndarray:
     """Small-integer bids: equal-cost optima are the norm, not the exception."""
     return rng.integers(0, levels, size=(m, n)).astype(float)
+
+
+# Thirds whose solve once left the kernel's ``v`` one rounding above 0
+# (5.55e-17) on the transposed matrix, which gave the exchange graph a
+# negative edge.
+THIRDS_NEAR_TIE = np.array(
+    [
+        [7, 6, 0, 8, 8, 6, 4],
+        [2, 8, 8, 1, 0, 1, 8],
+        [4, 3, 2, 3, 8, 4, 1],
+        [3, 0, 7, 4, 7, 6, 6],
+        [0, 2, 7, 3, 3, 0, 1],
+        [6, 0, 0, 4, 3, 7, 1],
+        [8, 7, 3, 8, 4, 2, 5],
+        [7, 2, 1, 7, 6, 3, 2],
+        [1, 4, 7, 5, 4, 3, 4],
+        [1, 7, 5, 3, 7, 5, 8],
+    ]
+) / 3

@@ -23,7 +23,13 @@ from beamauction import (
     solve_rectangular_forbidden,
     utility_of_report,
 )
-from helpers import draw_bids, draw_dims, draw_tie_heavy_bids, seeded_rng
+from helpers import (
+    THIRDS_NEAR_TIE,
+    draw_bids,
+    draw_dims,
+    draw_tie_heavy_bids,
+    seeded_rng,
+)
 
 
 class TestDetermineWinners:
@@ -121,6 +127,71 @@ class TestRunAuction:
         second = run_auction(bids)
         assert first.assignment == second.assignment
         assert first.payments == second.payments
+
+
+def whole_mbps_bids(rng, m, n):
+    """Spare capacity 150 - demand for whole-Mbps demands in 50..150."""
+    return np.maximum(0.0, 150.0 - rng.integers(50, 151, size=(m, n)))
+
+
+def resolved_payments(bids, winners):
+    """Every winning pair's payment from its own forbidden re-solve."""
+    return {(i, j): payment(bids, winners, i, j) for i, j in winners.pairs}
+
+
+class TestExchangeGraph:
+    """``run_auction`` prices every pair from one graph; ``payment`` re-solves."""
+
+    @pytest.mark.parametrize("draw", [whole_mbps_bids, draw_bids, draw_tie_heavy_bids])
+    def test_payments_equal_the_per_pair_resolves(self, draw):
+        rng = seeded_rng(207)
+        shapes = set()
+        for _ in range(400):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))  # N > M too
+            shapes.add((m, n))
+            bids = draw(rng, m, n)
+            outcome = run_auction(bids)
+            assert outcome.assignment == determine_winners(bids)
+            assert outcome.payments == resolved_payments(bids, outcome.assignment)
+        assert {(1, 1), (5, 5), (3, 7)} <= shapes
+
+    @pytest.mark.parametrize("m, n", [(1000, 16), (10000, 32)])
+    def test_payments_equal_the_per_pair_resolves_at_scale(self, m, n):
+        bids = whole_mbps_bids(seeded_rng(208, m), m, n)
+        outcome = run_auction(bids)
+        assert outcome.payments == resolved_payments(bids, outcome.assignment)
+
+    @pytest.mark.parametrize("denominator", [3, 10])
+    def test_near_tie_payments_agree_within_rounding(self, denominator):
+        # Two exclusion matchings whose exact totals differ by less than
+        # the potentials' rounding can swap places, so a payment may move
+        # by an ulp or two; the pairs never do.
+        rng = seeded_rng(209, denominator)
+        for _ in range(400):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            bids = rng.integers(0, 3 * denominator, size=(m, n)) / denominator
+            outcome = run_auction(bids)
+            assert outcome.assignment == determine_winners(bids)
+            expected = resolved_payments(bids, outcome.assignment)
+            for pair, paid in outcome.payments.items():
+                assert abs(paid - expected[pair]) <= 1e-9
+
+    def test_thirds_whose_potentials_once_rounded_above_zero(self):
+        outcome = run_auction(THIRDS_NEAR_TIE)
+        assert outcome.payments == resolved_payments(
+            THIRDS_NEAR_TIE, outcome.assignment
+        )
+
+    def test_a_beam_can_push_its_terminal_out_for_a_free_one(self):
+        # Excluding (1, 1), beam 1 takes free terminal 3 at 5 and beam 2
+        # takes terminal 1 at 1, pushing terminal 2 out: 6, against 7 for
+        # beam 1 alone moving and 10 for the swap. Excluding (2, 2), beam
+        # 2 takes terminal 1 and beam 1 the free terminal 3: also 6.
+        bids = [[0, 1], [9, 2], [5, 9]]
+        outcome = run_auction(bids)
+        assert outcome.assignment.pairs == ((1, 1), (2, 2))
+        assert outcome.payments == {(1, 1): 4.0, (2, 2): 6.0}
+        assert outcome.payments == resolved_payments(bids, outcome.assignment)
 
 
 class TestUtilityOfReport:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamauction import Assignment, as_bid_matrix, cli
+from beamauction import Assignment, AuctionOutcome, as_bid_matrix, cli
 from beamauction.cli import (
     BidMatrixParseError,
     format_bid_matrix,
@@ -396,6 +396,27 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "payment below bid at (" in err
         assert re.search(r"losing pair \(\d,\d\) pays -1\.0", err)
+
+    def test_auction_payments_are_checked(self, monkeypatch, capsys):
+        # The payments ``solve --payments`` prints come from ``run_auction``,
+        # not from per-pair ``payment``; one wrong pair must fail its case.
+        auction = cli.run_auction
+
+        def overcharging(bids):
+            outcome = auction(bids)
+            first = outcome.assignment.pairs[0]
+            payments = dict(outcome.payments)
+            payments[first] += 1.0
+            return AuctionOutcome(outcome.assignment, payments)
+
+        monkeypatch.setattr(cli, "run_auction", overcharging)
+        assert main(["verify", "--max-dim", "3", "--cases", "5", "--seed", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["0/5 passed"]
+        fails = captured.err.splitlines()
+        assert len(fails) == 5
+        message = re.compile(r"\): auction payment mismatch at \(\d,\d\)$")
+        assert all(message.search(line) for line in fails)
 
     def test_max_dim_above_oracle_scope_is_an_error(self, capsys):
         assert main(["verify", "--max-dim", "9"]) == 2
