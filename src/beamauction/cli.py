@@ -134,11 +134,12 @@ def _beam_counts(spec: str | Sequence) -> Sequence[int]:
     return range(_whole("fasb_range", lo), _whole("fasb_range", hi or lo) + 1)
 
 
-def _demand_bounds(spec: str | Sequence) -> dict[str, float]:
+def _demand_bounds(spec: str | Sequence) -> dict:
     parts = spec if isinstance(spec, (list, tuple)) else str(spec).split(",")
     if len(parts) != 2:
         raise ValueError(f"demand must be LOW,HIGH, got {spec!r}")
-    return {"demand_low": float(parts[0]), "demand_high": float(parts[1])}
+    # ExperimentConfig converts each bound, naming one that is not a number
+    return {"demand_low": parts[0], "demand_high": parts[1]}
 
 
 # Each simulate setting, given as a flag or a config key, as the
@@ -147,7 +148,7 @@ def _demand_bounds(spec: str | Sequence) -> dict[str, float]:
 _SIMULATE_SETTINGS = {
     "terminals": lambda v: {"n_terminals": v},
     "fasb_range": lambda v: {"beam_counts": _beam_counts(v)},
-    "capacity": lambda v: {"capacity": float(v)},
+    "capacity": lambda v: {"capacity": v},
     "demand": _demand_bounds,
     "reps": lambda v: {"replications": v},
     "seed": lambda v: {"rng_seed": v},

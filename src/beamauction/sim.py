@@ -1,10 +1,12 @@
 """Scenario generation and the beam-count sweep comparing VCG with greedy.
 
-Each replication draws a fresh scenario from a generator state derived
-from (base seed, beam count, replication index), so results are
+Each replication draws a fresh demand array from a generator state
+derived from (base seed, beam count, replication index), so results are
 reproducible bit-for-bit and independent of execution order. The swept
 quantity is the average winning bid per beam: assignment total divided
-by the number of beams.
+by the number of beams. The sweep builds each bid matrix straight from
+that draw; :func:`generate_scenario` wraps it into the public and demo
+:class:`Scenario`.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import numpy as np
 from .auction import determine_winners
 from .baseline import greedy_allocate
 from .model import (
+    BidMatrix,
     ConfigurationError,
     Scenario,
     SpotBeam,
     UserTerminal,
     _whole,
-    availability_order,
-    build_bid_matrix,
 )
 
 __all__ = [
@@ -38,8 +39,17 @@ __all__ = [
 REPORT_HEADER = "n_fasb,mechanism,mean_avg_sbsdc,stddev,replications"
 
 
-def _check_draw(capacity: float, demand_low: float, demand_high: float) -> None:
-    """Reject a beam capacity or demand bounds that no scenario can use."""
+def _check_draw(capacity, demand_low, demand_high) -> dict[str, float]:
+    """Beam capacity and demand bounds by name, as floats; reject unusable ones."""
+    draw = dict(capacity=capacity, demand_low=demand_low, demand_high=demand_high)
+    for name, value in draw.items():
+        try:
+            draw[name] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name} must be a number, got {value!r}"
+            ) from None
+    capacity, demand_low, demand_high = draw.values()
     if not (math.isfinite(capacity) and capacity > 0):
         raise ConfigurationError(
             f"capacity must be positive and finite, got {capacity}"
@@ -49,6 +59,7 @@ def _check_draw(capacity: float, demand_low: float, demand_high: float) -> None:
             f"demand bounds must be finite with 0 <= low <= high, got "
             f"[{demand_low}, {demand_high}]"
         )
+    return draw
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,9 @@ class ExperimentConfig:
                 f"need at least as many terminals ({self.n_terminals}) as the "
                 f"largest beam count ({max(beam_counts)})"
             )
-        _check_draw(self.capacity, self.demand_low, self.demand_high)
+        draw = _check_draw(self.capacity, self.demand_low, self.demand_high)
+        for name, value in draw.items():
+            object.__setattr__(self, name, value)
         if self.replications < 1:
             raise ConfigurationError(
                 f"replications must be >= 1, got {self.replications}"
@@ -146,20 +159,23 @@ def generate_scenario(
             f"need n_terminals >= n_beams >= 1 and seed >= 0, got {n_terminals}, "
             f"{n_beams} and seed {seed}"
         )
-    _check_draw(capacity, demand_low, demand_high)
+    draw = _check_draw(capacity, demand_low, demand_high)
+    capacity, demand_low, demand_high = draw.values()
 
-    rng = np.random.default_rng(seed)
-    demands = rng.uniform(demand_low, demand_high, size=(n_terminals, n_beams))
+    demands = _draw_demands(n_terminals, n_beams, demand_low, demand_high, seed)
     epochs = range(1, n_beams + 1)
     terminals = tuple(
         UserTerminal(id=i, demand=dict(zip(epochs, row)))
         for i, row in enumerate(demands.tolist(), start=1)
     )
-    beams = tuple(
-        SpotBeam(id=j + 1, capacity=float(capacity), available_at=j + 1)
-        for j in range(n_beams)
-    )
+    beams = tuple(SpotBeam(id=j, capacity=capacity, available_at=j) for j in epochs)
     return Scenario(terminals=terminals, beams=beams, rng_seed=seed)
+
+
+def _draw_demands(n_terminals, n_beams, demand_low, demand_high, seed) -> np.ndarray:
+    """The (M, N) uniform demand draw behind every scenario and replication."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(demand_low, demand_high, size=(n_terminals, n_beams))
 
 
 def _replication_seed(base_seed: int, n_beams: int, replication: int) -> int:
@@ -170,24 +186,21 @@ def _replication_seed(base_seed: int, n_beams: int, replication: int) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the sweep: per beam count, average-bid stats for both mechanisms.
 
-    Deterministic for a given config; per-instance the optimal mechanism
-    never exceeds greedy, so the means inherit the same ordering.
+    Bids are ``max(0, capacity - demand)`` straight from the draw that
+    :func:`generate_scenario` wraps, and greedy takes that scenario's
+    availability order, 1..N. Deterministic for a given config; the
+    optimum never exceeds greedy per instance, so neither do the means.
     """
     rows = []
     for n_beams in config.beam_counts:
         vcg_avg = np.empty(config.replications)
         greedy_avg = np.empty(config.replications)
+        order = range(1, n_beams + 1)
         for rep in range(config.replications):
-            scenario = generate_scenario(
-                config.n_terminals,
-                n_beams,
-                capacity=config.capacity,
-                demand_low=config.demand_low,
-                demand_high=config.demand_high,
-                seed=_replication_seed(config.rng_seed, n_beams, rep),
-            )
-            bids = build_bid_matrix(scenario)
-            order = availability_order(scenario.beams)
+            seed = _replication_seed(config.rng_seed, n_beams, rep)
+            demand = _draw_demands(config.n_terminals, n_beams, config.demand_low,
+                                   config.demand_high, seed)
+            bids = BidMatrix(np.maximum(0.0, config.capacity - demand))
             vcg_avg[rep] = determine_winners(bids).total_cost / n_beams
             greedy_avg[rep] = greedy_allocate(bids, order).total_cost / n_beams
         rows.append(

@@ -345,8 +345,12 @@ class TestSimulateCommand:
             assert main(["simulate", flag, value, "--out", out]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        assert main(["simulate", "--demand", "50,x", "--out", out]) == 1
+        assert "demand_high must be a number, got 'x'" in capsys.readouterr().err
         for config in [
             {"demand": [60]},
+            {"demand": [60, None]},
+            {"capacity": [150]},
             {"reps": [1]},
             [1],
             {"reps": 2.5},

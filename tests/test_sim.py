@@ -6,11 +6,17 @@ import pytest
 from beamauction import (
     ConfigurationError,
     ExperimentConfig,
+    ExperimentRow,
+    availability_order,
     build_bid_matrix,
+    determine_winners,
     generate_scenario,
+    greedy_allocate,
     run_experiment,
 )
-from beamauction.sim import REPORT_HEADER
+from beamauction.sim import REPORT_HEADER, _draw_demands, _replication_seed
+
+DRAW_FIELDS = ("capacity", "demand_low", "demand_high")
 
 
 class TestGenerateScenario:
@@ -59,6 +65,33 @@ class TestGenerateScenario:
         assert (whole.n_terminals, whole.n_beams, whole.rng_seed) == (3, 2, 5)
         same = build_bid_matrix(generate_scenario(3, 2, seed=5))
         assert np.array_equal(build_bid_matrix(whole).values, same.values)
+
+    @pytest.mark.parametrize("field", DRAW_FIELDS)
+    def test_draw_settings_are_read_as_numbers(self, field):
+        text = build_bid_matrix(generate_scenario(3, 2, seed=4, **{field: "150"}))
+        number = build_bid_matrix(generate_scenario(3, 2, seed=4, **{field: 150.0}))
+        assert np.array_equal(text.values, number.values)
+        for bad in (None, [1]):
+            with pytest.raises(ConfigurationError, match=f"{field} must be a number"):
+                generate_scenario(3, 2, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "n_terminals, n_beams, bounds, seed",
+        [(1, 1, (50.0, 150.0), 0), (30, 8, (50.0, 150.0), 42), (7, 3, (0.0, 400.0), 9)],
+    )
+    def test_demands_are_the_shared_draw(self, n_terminals, n_beams, bounds, seed):
+        # The sweep builds its bids from this draw without a Scenario, so
+        # the public scenario must hold it row for row, epoch by epoch, and
+        # offer the beams in the order 1..N that the sweep hands greedy.
+        low, high = bounds
+        scenario = generate_scenario(
+            n_terminals, n_beams, demand_low=low, demand_high=high, seed=seed
+        )
+        drawn = _draw_demands(n_terminals, n_beams, low, high, seed)
+        epochs = range(1, n_beams + 1)
+        demands = [[t.demand_at(e) for e in epochs] for t in scenario.terminals]
+        assert demands == drawn.tolist()
+        assert availability_order(scenario.beams) == list(epochs)
 
 
 class TestExperimentConfig:
@@ -111,6 +144,22 @@ class TestExperimentConfig:
         assert fields == [12, 2, 3, 2, 1]
         assert all(type(value) is int for value in fields)
         assert run_experiment(config).rows[0].replications == 2
+
+    def test_draw_settings_are_stored_as_float(self):
+        config = ExperimentConfig(
+            capacity=np.int64(200), demand_low=50, demand_high=np.float32(100.5)
+        )
+        draw = [getattr(config, field) for field in DRAW_FIELDS]
+        assert draw == [200.0, 50.0, 100.5]
+        assert all(type(value) is float for value in draw)
+
+    @pytest.mark.parametrize("field", DRAW_FIELDS)
+    def test_draw_settings_are_read_as_numbers(self, field):
+        value = getattr(ExperimentConfig(**{field: "150"}), field)
+        assert value == 150.0 and type(value) is float
+        for bad in (None, [1]):
+            with pytest.raises(ConfigurationError, match=f"{field} must be a number"):
+                ExperimentConfig(**{field: bad})
 
 
 class TestRunExperiment:
@@ -167,6 +216,56 @@ class TestRunExperiment:
         for row, srow in zip(run_experiment(base).rows, run_experiment(scaled).rows):
             assert srow.vcg_mean == pytest.approx(3.0 * row.vcg_mean, rel=1e-9)
             assert srow.greedy_mean == pytest.approx(3.0 * row.greedy_mean, rel=1e-9)
+
+
+def _public_path_rows(config):
+    """``run_experiment``'s rows, rebuilt scenario by scenario through the
+    public ``generate_scenario`` -> ``build_bid_matrix`` path."""
+    rows = []
+    for n_beams in config.beam_counts:
+        vcg, greedy = [], []
+        for rep in range(config.replications):
+            scenario = generate_scenario(
+                config.n_terminals,
+                n_beams,
+                capacity=config.capacity,
+                demand_low=config.demand_low,
+                demand_high=config.demand_high,
+                seed=_replication_seed(config.rng_seed, n_beams, rep),
+            )
+            bids = build_bid_matrix(scenario)
+            order = availability_order(scenario.beams)
+            vcg.append(determine_winners(bids).total_cost / n_beams)
+            greedy.append(greedy_allocate(bids, order).total_cost / n_beams)
+        vcg, greedy = np.array(vcg), np.array(greedy)
+        rows.append(
+            ExperimentRow(
+                n_beams,
+                float(vcg.mean()),
+                float(vcg.std()),
+                float(greedy.mean()),
+                float(greedy.std()),
+                config.replications,
+            )
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(replications=3),
+        dict(demand_low=120.0, demand_high=120.0, replications=2),
+        dict(demand_high=200.0, replications=2),
+        dict(capacity=240.0, replications=2),
+        dict(n_terminals=8, replications=2),
+        dict(replications=1, rng_seed=7),
+    ],
+    ids=["defaults", "every-bid-ties", "zero-clamped", "capacity", "m-equals-n", "one-rep"],
+)
+def test_sweep_rows_equal_the_public_scenario_path(settings):
+    config = ExperimentConfig(**settings)
+    assert run_experiment(config).rows == _public_path_rows(config)
 
 
 class TestReportCsv:
