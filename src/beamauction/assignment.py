@@ -163,56 +163,6 @@ def _resum(values: np.ndarray, term: Sequence[int]) -> float:
     return math.fsum(values[i, j] for j, i in enumerate(term) if i >= 0)
 
 
-def _handover_tree(
-    tight: np.ndarray,
-    rows: dict[int, list[bool]],
-    term: list[int],
-    served_t: np.ndarray,
-    optional_t: list[bool],
-    optional_b: list[bool],
-    fixed_b: list[bool],
-    target: int,
-) -> dict[int, int]:
-    """Breadth-first search, backwards from beam ``target``, over handovers.
-
-    Node ``n`` stands for every dummy beam: as in the padded formulation,
-    an unserved terminal sits on a dummy beam and an unserved beam on a
-    dummy terminal. Beam node ``x`` hands over to node ``y`` when ``x``
-    takes ``y``'s partner, which leaves ``y`` to find a new one. ``x`` may
-    take a terminal over a tight edge (a dummy beam may take any optional
-    terminal) and, if ``x`` is optional, a dummy terminal.
-
-    Returns, for every node whose chain of handovers can end by taking
-    ``target``'s partner, the node it hands over to first.
-    """
-    m, n = tight.shape
-    nxt = {target: target}
-    queue = [target]
-    dummy_beams = not served_t.all()
-    dummy_terminals_seen = False
-    for y in queue:
-        if y == n:
-            takers = tight[~served_t].any(axis=0).nonzero()[0].tolist()
-        elif term[y] >= 0:
-            x_t = term[y]
-            if x_t not in rows:
-                rows[x_t] = tight[x_t].tolist()
-            row = rows[x_t]
-            takers = [x for x in range(n) if row[x]]
-            if optional_t[x_t] and dummy_beams:
-                takers.append(n)
-        elif dummy_terminals_seen:
-            continue  # every unserved beam has the same takers
-        else:
-            dummy_terminals_seen = True
-            takers = [x for x in range(n) if optional_b[x]]
-        for x in takers:
-            if x not in nxt and (x == n or not fixed_b[x]):
-                nxt[x] = y
-                queue.append(x)
-    return nxt
-
-
 def _lex_min_matching(
     values: np.ndarray,
     tight: np.ndarray,
@@ -226,22 +176,24 @@ def _lex_min_matching(
     each beam (-1 when unserved), and ``optional_t`` / ``optional_b`` mark
     the vertices an optimal matching may leave unserved. Beams are fixed
     in ascending order, each to the smallest terminal that still admits
-    an optimal completion, else to no terminal. Completions are found by
-    one iterative breadth-first search per beam over the beams, not the
-    terminals; a swap that would raise the re-summed total is refused.
+    an optimal completion, else to none; a swap that would raise the
+    re-summed total is refused. A completion is a chain of handovers that
+    a breadth-first search finds back from the beam being decided over
+    the later beams: ``nxt[x] == y`` when ``x`` can take ``y``'s partner,
+    a terminal over a tight edge or, if ``x`` is optional, the dummy
+    terminal of an unserved ``y``. Node ``n`` is every dummy beam; it holds
+    the unserved terminals and may take any optional one. A beam's takers
+    are read only when the search reaches it, and only the first unserved
+    beam is expanded, as all have the same takers. Each unserved beam is a
+    node of its own, so this is not the payments' exchange graph, which
+    merges free beams into one node when terminals are the short side.
     """
     m, n = tight.shape
     term = term_of.tolist()
-    holder = [-1] * m
-    for j, i in enumerate(term):
-        if i >= 0:
-            holder[i] = j
-    served_t = np.zeros(m, dtype=bool)
-    served_t[term_of[term_of >= 0]] = True
-    optional_t, optional_b = optional_t.tolist(), optional_b.tolist()
+    holder = np.full(m, -1)
+    holder[term_of[term_of >= 0]] = (term_of >= 0).nonzero()[0]
+    optional_t, optional_b = optional_t.tolist(), optional_b.nonzero()[0].tolist()
     fixed_t: set[int] = set()
-    fixed_b = [False] * n
-    rows: dict[int, list[bool]] = {}
     total = _resum(values, term)
 
     for j in range(n):
@@ -249,40 +201,47 @@ def _lex_min_matching(
         candidates = [
             t for t in tight[:limit, j].nonzero()[0].tolist() if t not in fixed_t
         ]
-        fixed_b[j] = True  # the beam being decided is no waypoint
         if candidates:
-            nxt = _handover_tree(
-                tight, rows, term, served_t, optional_t, optional_b, fixed_b, j
-            )
+            free = holder < 0  # the terminals on dummy beams
+            nxt = {j: j}
+            queue = [j]
+            dummy_takers = optional_b
+            for y in queue:
+                if y == n:
+                    takers = tight[free].any(axis=0).nonzero()[0].tolist()
+                elif term[y] >= 0:
+                    takers = tight[term[y]].nonzero()[0].tolist()
+                    if optional_t[term[y]]:  # n has no takers if none is free
+                        takers.append(n)
+                else:  # every unserved beam has the same takers
+                    takers, dummy_takers = dummy_takers, []
+                for x in takers:
+                    if x > j and x not in nxt:  # beams up to j are fixed
+                        nxt[x] = y
+                        queue.append(x)
         for t in candidates:
-            x = holder[t] if holder[t] >= 0 else n
+            x = int(holder[t]) if holder[t] >= 0 else n
             if x not in nxt:
                 continue
             old_term, old_holder = term.copy(), holder.copy()
             term[j], holder[t] = t, j
-            changed = [t]
             while True:
                 y = nxt[x]
                 if x == n:  # a dummy beam takes y's terminal: it goes unserved
                     holder[old_term[y]] = -1
-                    changed.append(old_term[y])
                 elif y == n:  # x takes an unserved terminal
-                    p = int((tight[:, x] & ~served_t).argmax())
+                    p = int((tight[:, x] & free).argmax())
                     term[x], holder[p] = p, x
-                    changed.append(p)
                 elif old_term[y] < 0:  # x takes y's dummy terminal
                     term[x] = -1
                 else:
                     term[x], holder[old_term[y]] = old_term[y], x
-                    changed.append(old_term[y])
                 if y == j:
                     break
                 x = y
             swapped = _resum(values, term)
             if swapped <= total:
                 total = swapped
-                for p in changed:
-                    served_t[p] = holder[p] >= 0
                 break
             term, holder = old_term, old_holder
         if term[j] >= 0:
@@ -291,16 +250,16 @@ def _lex_min_matching(
 
 
 class _Solved(NamedTuple):
-    """One solve: the canonical matching and the kernel's potentials.
+    """One solve: the canonical matching and the kernel's reduced costs.
 
     ``term`` is the 0-based terminal serving each beam (-1 when unserved).
     ``short`` is the cost matrix as the kernel saw it, short side first
-    (its transpose when ``flip``), and ``u`` / ``v`` are the potentials
-    of its rows / columns.
+    (its transpose when ``flip``); ``reduced`` is ``short - u - v`` for
+    the potentials ``u`` / ``v`` of its rows / columns.
     """
 
     term: list[int]
-    u: np.ndarray
+    reduced: np.ndarray
     v: np.ndarray
     flip: bool
     short: np.ndarray
@@ -334,7 +293,9 @@ def _solve(
     # values no larger than ``scale``; this bounds their rounding.
     scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
     eps = (2 * size + 2) * math.ulp(scale)
-    tight = (short - u[:, None] - v) <= eps
+    reduced = short - u[:, None]
+    reduced -= v
+    tight = reduced <= eps
     if size == len(col4row) == tight.sum() and tight[np.arange(size), col4row].all():
         term = term_of.tolist()  # each short row's one tight edge: forced
     else:
@@ -347,7 +308,7 @@ def _solve(
         else:
             optional_t, optional_b = optional_short, optional_long
         term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
-    return _Solved(term, u, v, flip, short)
+    return _Solved(term, reduced, v, flip, short)
 
 
 def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
@@ -357,44 +318,38 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
     matching serves the whole short side. Excluding a winning pair moves
     the matching along the cheapest alternating cycle through that pair's
     short-side vertex, and the exclusion optimum's extra cost is that
-    cycle's length in reduced costs ``max(cost - u - v, 0)``, taken
-    against the canonical partners.
+    cycle's length in ``solved.reduced``, clamped at 0 and taken against
+    the canonical partners. As the record's last reader, this masks the
+    partner columns of ``solved.reduced`` in place.
 
     The graph has one node per short-side vertex plus node ``n``, which
     stands for every free long-side vertex. Edge ``a -> b`` means ``a``
     takes ``b``'s partner; ``a -> n`` means ``a`` takes its cheapest free
     long-side vertex; ``n -> b`` frees ``b``'s partner, at cost ``-v`` of
-    it since free vertices have ``v == 0``. All weights are >= 0, so one
-    Dijkstra per source, each with its source left unsettled, finds every
-    shortest cycle. The n + 1 searches run in lockstep, and each
-    predecessor is a vertex settled earlier, so every chain ends within
-    n + 1 hops. Each cycle rebuilds its exclusion matching, whose total is
-    ``math.fsum`` of its bids, as a re-solve would report it.
+    it since free vertices have ``v == 0``; when M == N every ``a -> n``
+    edge is +inf. All weights are >= 0, so one Dijkstra per source, each
+    with its source left unsettled, finds every shortest cycle. The n + 1
+    searches run in lockstep, and each predecessor is a vertex settled
+    earlier, so every chain ends within n + 1 hops. Each cycle rebuilds
+    its exclusion matching, whose total is ``math.fsum`` of its bids, as
+    a re-solve would report it.
 
     Costs O(MN + N^3) for all pairs. Returns ``{(terminal, beam): total}``
     with 1-based ids.
     """
-    term, u, v, flip, short = solved
-    n, m = short.shape
-    if flip:
-        partner = np.array(term)
-    else:
-        partner = np.empty(n, dtype=int)
-        for j, i in enumerate(term):
-            if i >= 0:
-                partner[i] = j
+    term, reduced, v, flip, short = solved
+    n = len(short)
+    partner = np.array(term)
+    if not flip:  # the beam of each terminal; the -1s of free beams sort first
+        partner = partner.argsort()[-n:]
     size = n + 1
     graph = np.full((size, size), _INF)
-    graph[:n, :n] = np.maximum(short[:, partner] - u[:, None] - v[partner], 0.0)
+    graph[:n, :n] = np.maximum(reduced[:, partner], 0.0)
     np.fill_diagonal(graph, _INF)
-    free = None
-    if m > n:
-        reduced = short - u[:, None]
-        reduced -= v
-        reduced[:, partner] = _INF
-        free = reduced.argmin(axis=1)
-        graph[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
-        graph[n, :n] = -v[partner]
+    reduced[:, partner] = _INF
+    free = reduced.argmin(axis=1)
+    graph[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
+    graph[n, :n] = -v[partner]
 
     # Row s is the search from s; s starts unsettled, so dist[s, s] is the
     # shortest cycle through s and pred[s, x] == s means the edge s -> x.
@@ -430,6 +385,17 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
         t, b = (partner[a], a) if flip else (a, partner[a])
         totals[t + 1, b + 1] = total
     return totals
+
+
+def _forbidden_cells(bids: BidMatrix, forbidden: Collection) -> frozenset:
+    """The 0-based cells of 1-based (terminal, beam) pairs, checked one by one."""
+    cells = set()
+    for pair in forbidden:
+        try:
+            cells.add(bids._cell(*pair))
+        except TypeError:  # not an iterable of exactly two entries
+            raise ValueError(f"forbidden entry {pair!r} is not a pair") from None
+    return frozenset(cells)
 
 
 def solve_square(
@@ -479,7 +445,7 @@ def solve_rectangular_forbidden(
     is returned (possibly empty).
     """
     bids = as_bid_matrix(bids)
-    forbidden0 = frozenset(bids._cell(i, j) for i, j in forbidden)
+    forbidden0 = _forbidden_cells(bids, forbidden)
     return _assignment(bids, _solve(bids, forbidden0))
 
 
@@ -521,7 +487,7 @@ def brute_force_min_assignment(
             f"brute-force enumeration supports min(M, N) <= {_ORACLE_MAX_DIM} "
             f"and max(M, N) <= {_ORACLE_MAX_SIDE}, got {m}x{n}"
         )
-    forbidden0 = frozenset(bids._cell(i, j) for i, j in forbidden)
+    forbidden0 = _forbidden_cells(bids, forbidden)
     values = bids.values
     allowed = [
         [(i, j) not in forbidden0 for j in range(n)] for i in range(m)

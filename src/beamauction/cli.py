@@ -215,6 +215,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         print("error: --cases must be >= 0", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     if args.cases == 0:
         print("warning: --cases 0 requested; nothing checked", file=sys.stderr)
         print("0/0 passed")

@@ -75,7 +75,12 @@ class ExperimentConfig:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        beam_counts = tuple(_whole("beam_counts", n) for n in self.beam_counts)
+        try:
+            beam_counts = tuple(_whole("beam_counts", n) for n in self.beam_counts)
+        except TypeError:  # not iterable
+            raise ConfigurationError(
+                f"beam_counts must be a sequence, got {self.beam_counts!r}"
+            ) from None
         object.__setattr__(self, "beam_counts", beam_counts)
         for name in ("n_terminals", "replications", "rng_seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))

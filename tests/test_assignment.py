@@ -6,7 +6,9 @@ against the oracle on random instances, including tie-heavy integer
 matrices where the lexicographic tie-break does real work.
 """
 
+import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -158,6 +160,13 @@ class TestSolveRectangularForbidden:
         assert expected.pairs == ((1, 1), (2, 2))
         for pair in [(2.0, 1.0), (np.int64(2), np.int32(1)), (np.float64(2), 1)]:
             assert solve_rectangular_forbidden([[1, 3], [2, 5]], [pair]) == expected
+
+    def test_forbidden_entries_that_are_not_pairs(self):
+        for solve in (solve_rectangular_forbidden, brute_force_min_assignment):
+            for entry in [1, (1, 1, 1), (1,), None]:
+                message = f"forbidden entry {entry!r} is not a pair"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    solve([[1, 3], [2, 5]], [(2, 1), entry])
 
 
 class TestBruteForceOracle:
@@ -333,6 +342,32 @@ class TestKernelAgainstScipy:
         rows, cols = linear_sum_assignment(bids)
         assert result.total_cost == float(bids[rows, cols].sum())
         assert len(result) == 8
+
+
+class TestCanonicalPairsAtScale:
+    """The tie-break beyond the oracle's reach, pinned by hash."""
+
+    def test_tie_heavy_pairs_are_pinned(self):
+        # 0..3 bids: 2000 x 16, 16 x 2000 (1,984 beams left unserved) and
+        # 300 x 8 with every bid below 2 in beams 1..4 forbidden.
+        tall = draw_tie_heavy_bids(seeded_rng(2501), 2000, 16)
+        wide = draw_tie_heavy_bids(seeded_rng(2502), 16, 2000)
+        mid = draw_tie_heavy_bids(seeded_rng(2503), 300, 8)
+        rows, cols = np.nonzero(mid[:, :4] < 2)
+        forbidden = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+        results = [
+            solve_rectangular(tall),
+            solve_rectangular(wide),
+            solve_rectangular_forbidden(mid, forbidden),
+        ]
+        assert [r.total_cost for r in results] == [0.0, 0.0, 8.0]
+        assert [
+            hashlib.sha256(repr(r.pairs).encode()).hexdigest() for r in results
+        ] == [
+            "f5c539935a3b883597e9f35181bc561a0f144163baa6827022d1995e1a9574a2",
+            "61a6e7e040b009f347c04676deae225127ab6470cd33fdda58f833f3fc5cfa1c",
+            "4dda500abce80f277e464f4e98e654ae8912fc94280a12af47efc131aa8ab965",
+        ]
 
 
 class TestKernelContract:

@@ -428,6 +428,7 @@ class TestVerifyCommand:
         for flag, value, message in [
             ("--max-dim", "0", "--max-dim must be >= 1"),
             ("--cases", "-1", "--cases must be >= 0"),
+            ("--seed", "-1", "--seed must be >= 0"),
         ]:
             assert main(["verify", flag, value]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"

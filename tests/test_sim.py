@@ -121,6 +121,9 @@ class TestExperimentConfig:
             ExperimentConfig(demand_high=np.inf)
         with pytest.raises(ConfigurationError, match="rng_seed must be >= 0"):
             ExperimentConfig(rng_seed=-1)
+        for not_a_sequence in (5, None):
+            with pytest.raises(ConfigurationError, match="beam_counts must be a"):
+                ExperimentConfig(beam_counts=not_a_sequence)
         for fractional in [
             {"n_terminals": 12.9},
             {"beam_counts": (2.7, 3)},
