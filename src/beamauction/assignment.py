@@ -327,12 +327,15 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
     takes ``b``'s partner; ``a -> n`` means ``a`` takes its cheapest free
     long-side vertex; ``n -> b`` frees ``b``'s partner, at cost ``-v`` of
     it since free vertices have ``v == 0``; when M == N every ``a -> n``
-    edge is +inf. All weights are >= 0, so one Dijkstra per source, each
-    with its source left unsettled, finds every shortest cycle. The n + 1
-    searches run in lockstep, and each predecessor is a vertex settled
-    earlier, so every chain ends within n + 1 hops. Each cycle rebuilds
-    its exclusion matching, whose total is ``math.fsum`` of its bids, as
-    a re-solve would report it.
+    edge is +inf. One min-plus closure (Floyd-Warshall) with a +inf
+    diagonal finds every shortest cycle: ``dist[a, a]`` is the one through
+    ``a``, and ``pred[a, x]`` the node before ``x`` on a shortest path from
+    ``a``. Every weight is >= 0 exactly: reduced costs are clamped at 0,
+    and ``-v >= 0`` as the kernel keeps ``v <= 0`` exactly. Float addition
+    of non-negative numbers never decreases and updates are strict ``<``,
+    so each walk back along ``pred[a]`` closes within n + 1 hops; the walk
+    raises if one does not. Each cycle rebuilds its exclusion matching,
+    whose total is ``math.fsum`` of its bids, as a re-solve would report it.
 
     Costs O(MN + N^3) for all pairs. Returns ``{(terminal, beam): total}``
     with 1-based ids.
@@ -343,27 +346,20 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
     if not flip:  # the beam of each terminal; the -1s of free beams sort first
         partner = partner.argsort()[-n:]
     size = n + 1
-    graph = np.full((size, size), _INF)
-    graph[:n, :n] = np.maximum(reduced[:, partner], 0.0)
-    np.fill_diagonal(graph, _INF)
+    dist = np.full((size, size), _INF)
+    dist[:n, :n] = np.maximum(reduced[:, partner], 0.0)
+    np.fill_diagonal(dist, _INF)
     reduced[:, partner] = _INF
     free = reduced.argmin(axis=1)
-    graph[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
-    graph[n, :n] = -v[partner]
+    dist[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
+    dist[n, :n] = -v[partner]
 
-    # Row s is the search from s; s starts unsettled, so dist[s, s] is the
-    # shortest cycle through s and pred[s, x] == s means the edge s -> x.
-    rows = np.arange(size)
-    dist = graph.copy()
-    pred = np.repeat(rows[:, None], size, axis=1)
-    settled = np.zeros((size, size), dtype=bool)
-    for _ in range(size):
-        k = np.where(settled, _INF, dist).argmin(axis=1)
-        settled[rows, k] = True
-        through = dist[rows, k][:, None] + graph[k]
-        better = (through < dist) & ~settled
+    pred = np.indices((size, size))[0]
+    for k in range(size):
+        through = dist[:, k, None] + dist[k]
+        better = through < dist
         dist = np.where(better, through, dist)
-        pred = np.where(better, k[:, None], pred)
+        pred = np.where(better, pred[k], pred)
 
     matched = short[np.arange(n), partner].tolist()
     partner = partner.tolist()
@@ -381,6 +377,8 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
                 if p == a:
                     break
                 x = p
+            else:
+                raise RuntimeError(f"exchange cycle through {a} did not close")
             total = math.fsum(held)
         t, b = (partner[a], a) if flip else (a, partner[a])
         totals[t + 1, b + 1] = total
@@ -391,10 +389,11 @@ def _forbidden_cells(bids: BidMatrix, forbidden: Collection) -> frozenset:
     """The 0-based cells of 1-based (terminal, beam) pairs, checked one by one."""
     cells = set()
     for pair in forbidden:
-        try:
-            cells.add(bids._cell(*pair))
-        except TypeError:  # not an iterable of exactly two entries
+        try:  # a str or bytes would unpack one character per entry
+            terminal, beam = () if isinstance(pair, str | bytes) else pair
+        except (TypeError, ValueError):  # not exactly two entries
             raise ValueError(f"forbidden entry {pair!r} is not a pair") from None
+        cells.add(bids._cell(terminal, beam))
     return frozenset(cells)
 
 

@@ -75,9 +75,10 @@ class ExperimentConfig:
     rng_seed: int = 42
 
     def __post_init__(self) -> None:
+        counts = None if isinstance(self.beam_counts, str | bytes) else self.beam_counts
         try:
-            beam_counts = tuple(_whole("beam_counts", n) for n in self.beam_counts)
-        except TypeError:  # not iterable
+            beam_counts = tuple(_whole("beam_counts", n) for n in counts)
+        except TypeError:  # not iterable; text would give one count per character
             raise ConfigurationError(
                 f"beam_counts must be a sequence, got {self.beam_counts!r}"
             ) from None

@@ -163,7 +163,7 @@ class TestSolveRectangularForbidden:
 
     def test_forbidden_entries_that_are_not_pairs(self):
         for solve in (solve_rectangular_forbidden, brute_force_min_assignment):
-            for entry in [1, (1, 1, 1), (1,), None]:
+            for entry in [1, (1, 1, 1), (1,), None, "21", b"21"]:
                 message = f"forbidden entry {entry!r} is not a pair"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     solve([[1, 3], [2, 5]], [(2, 1), entry])

@@ -155,7 +155,9 @@ class TestExchangeGraph:
             assert outcome.payments == resolved_payments(bids, outcome.assignment)
         assert {(1, 1), (5, 5), (3, 7)} <= shapes
 
-    @pytest.mark.parametrize("m, n", [(1000, 16), (10000, 32)])
+    # 60 x 60 leaves no free terminal, so every edge into the free node is
+    # +inf; at 24 x 300 the terminals are the short side.
+    @pytest.mark.parametrize("m, n", [(1000, 16), (10000, 32), (60, 60), (24, 300)])
     def test_payments_equal_the_per_pair_resolves_at_scale(self, m, n):
         bids = whole_mbps_bids(seeded_rng(208, m), m, n)
         outcome = run_auction(bids)
@@ -192,6 +194,20 @@ class TestExchangeGraph:
         assert outcome.assignment.pairs == ((1, 1), (2, 2))
         assert outcome.payments == {(1, 1): 4.0, (2, 2): 6.0}
         assert outcome.payments == resolved_payments(bids, outcome.assignment)
+
+    def test_the_walk_raises_when_a_cycle_does_not_close(self):
+        # v[1] = 5 breaks the kernel's v <= 0: the edge from the free node
+        # 2 to node 1 weighs -5, and 1 -> 2 -> 1 is a negative cycle.
+        # Priced anyway, this record would read {(1, 1): 4.0, (2, 2): 3.0}.
+        solved = assignment._Solved(
+            term=[0, 1],
+            reduced=np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 1.0]]),
+            v=np.array([0.0, 5.0, 0.0]),
+            flip=True,
+            short=np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 2.0]]),
+        )
+        with pytest.raises(RuntimeError, match="did not close"):
+            assignment._exclusion_totals(solved)
 
 
 class TestUtilityOfReport:

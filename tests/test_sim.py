@@ -121,7 +121,7 @@ class TestExperimentConfig:
             ExperimentConfig(demand_high=np.inf)
         with pytest.raises(ConfigurationError, match="rng_seed must be >= 0"):
             ExperimentConfig(rng_seed=-1)
-        for not_a_sequence in (5, None):
+        for not_a_sequence in (5, None, "234", b"\x02\x03"):
             with pytest.raises(ConfigurationError, match="beam_counts must be a"):
                 ExperimentConfig(beam_counts=not_a_sequence)
         for fractional in [
