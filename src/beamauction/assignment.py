@@ -269,7 +269,7 @@ def _assignment(bids: BidMatrix, solved: _Solved) -> Assignment:
     """The public result of a solve: 1-based pairs and their total."""
     term = solved.term
     pairs = tuple((i + 1, j + 1) for j, i in enumerate(term) if i >= 0)
-    return Assignment(pairs, _resum(bids.values, term))
+    return Assignment._trusted(pairs, _resum(bids.values, term))
 
 
 def _solve(

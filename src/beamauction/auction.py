@@ -84,7 +84,7 @@ def run_auction(bids: BidMatrix | np.ndarray | Sequence) -> AuctionOutcome:
         (i, j): excluded[i, j] - (total - float(bids.values[i - 1, j - 1]))
         for i, j in winners.pairs
     }
-    return AuctionOutcome(winners, payments)
+    return AuctionOutcome._trusted(winners, payments)
 
 
 def utility_of_report(
@@ -116,7 +116,9 @@ def utility_of_report(
 
     reported = true_bids.values.copy()
     reported[terminal - 1, :] = row
-    outcome = run_auction(reported)
+    # Only the substituted row is unchecked; a refused one gets the located error.
+    bids = BidMatrix._trusted(reported) if (row >= 0).all() else BidMatrix(reported)
+    outcome = run_auction(bids)
     utility = 0.0
     for (i, j), paid in outcome.payments.items():
         if i == terminal:

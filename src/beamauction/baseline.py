@@ -30,9 +30,13 @@ def greedy_allocate(
     """
     bids = as_bid_matrix(bids)
     m, n = bids.values.shape
-    order = [_whole("beam_order entry", j) for j in beam_order]
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order}")
+    entries = None if isinstance(beam_order, str | bytes) else beam_order
+    try:  # text would give one beam per character, so it is not iterated
+        order = [_whole("beam_order entry", j) for j in entries]
+    except TypeError:  # not a sequence: refused below
+        order = beam_order
+    if type(order) is not list or sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order!r}")
 
     # One row per served beam, in order; a taken terminal's column is +inf,
     # and argmin's first minimum is the smallest terminal id.
@@ -44,4 +48,5 @@ def greedy_allocate(
         costs.append(row[i])
         remaining[:, i] = np.inf
         pairs.append((i + 1, j))
-    return Assignment(tuple(pairs), math.fsum(costs))
+    pairs.sort(key=lambda pair: pair[1])
+    return Assignment._trusted(tuple(pairs), math.fsum(costs))

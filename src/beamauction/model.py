@@ -6,6 +6,14 @@ capacity if it served that terminal: capacity minus the terminal's
 aggregate demand rate at the beam's availability epoch, clamped at zero.
 Lower bids mean better-utilized beams, so the auction minimizes the total
 winning bid. All rates are in Mbps; ids are 1-based.
+
+Public constructors check every input. A private ``_trusted`` adopts what
+the package built from checked input, uncopied and unchecked: bids clamped
+from a checked draw (``run_experiment``) or ``Scenario`` (``build_bid_matrix``)
+or with one checked row swapped in (``utility_of_report``), the solver's and
+greedy's matchings, and ``run_auction``'s payments. ``BidMatrix._trusted``
+still checks the largest bid, deferring past the size limit to the public
+constructor.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +44,13 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Scenario data is inconsistent or incomplete."""
+
+
+def _adopt(cls, *values):
+    """A ``cls`` whose dataclass fields hold ``values`` in order, unchecked."""
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return made
 
 
 def _whole(name: str, value) -> int:
@@ -128,31 +143,46 @@ def availability_order(beams: Iterable[SpotBeam]) -> list[int]:
     return [beam.id for beam in sorted(beams, key=lambda b: b.availability_key)]
 
 
+def _size_limit(shape: tuple[int, int]) -> float:
+    """Float max / (2 min(M, N) + 2): bids up to it keep every total, exclusion
+    total and potential finite, and NaN fails the comparison with it."""
+    return sys.float_info.max / (2 * min(shape) + 2)
+
+
 @dataclass(frozen=True, eq=False)
 class BidMatrix:
     """Non-negative bids: one row per terminal, one column per beam.
 
     ``values`` is an (M, N) read-only float array; entry (i-1, j-1) is
-    terminal i's bid for beam j.
+    terminal i's bid for beam j. ``max_bid`` is its largest entry.
     """
 
     values: np.ndarray
+    max_bid: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("bid matrix must be a non-empty 2-D array")
-        # Bids up to the float maximum / (2 min(M, N) + 2) keep every total,
-        # exclusion total and potential finite; NaN fails the comparison.
-        limit = sys.float_info.max / (2 * min(values.shape) + 2)
-        for ok, rule in ((values <= limit, f"finite and <= {limit!r}"),
-                         (values >= 0, "non-negative")):
-            if not ok.all():  # name the first refused cell, row-major
-                i, j = np.argwhere(~ok)[0]
-                raise ValueError(f"bid matrix entries must be {rule}; row {i + 1}, "
-                                 f"column {j + 1} holds {float(values[i, j])!r}")
+        top, limit = float(values.max()), _size_limit(values.shape)
+        if not (top <= limit and values.min() >= 0):
+            for ok, rule in ((values <= limit, f"finite and <= {limit!r}"),
+                             (values >= 0, "non-negative")):
+                if not ok.all():  # name the first refused cell, row-major
+                    i, j = np.argwhere(~ok)[0]
+                    cell = f"row {i + 1}, column {j + 1} holds {float(values[i, j])!r}"
+                    raise ValueError(f"bid matrix entries must be {rule}; {cell}")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(values=values, max_bid=top)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> BidMatrix:
+        """Adopt a non-empty 2-D float64 array of non-negative bids, uncopied."""
+        top = float(values.max())
+        if not top <= _size_limit(values.shape):
+            return cls(values)  # raises, naming the first refused cell
+        values.setflags(write=False)
+        return _adopt(cls, values, top)
 
     @property
     def n_terminals(self) -> int:
@@ -161,10 +191,6 @@ class BidMatrix:
     @property
     def n_beams(self) -> int:
         return self.values.shape[1]
-
-    @functools.cached_property  # read by every solve of the matrix
-    def max_bid(self) -> float:
-        return float(self.values.max())
 
     def bid(self, terminal: int, beam: int) -> float:
         """The bid of ``terminal`` for ``beam`` (both 1-based, whole numbers)."""
@@ -189,6 +215,14 @@ def as_bid_matrix(bids: BidMatrix | np.ndarray | Sequence) -> BidMatrix:
     return bids if isinstance(bids, BidMatrix) else BidMatrix(bids)
 
 
+def _pair(pair) -> tuple[int, int]:
+    """A 1-based (terminal, beam) pair as ``int``s."""
+    if isinstance(pair, str | bytes):  # would unpack one character per id
+        raise ValueError(f"expected a (terminal, beam) pair, got {pair!r}")
+    terminal, beam = pair
+    return _whole("terminal", terminal), _whole("beam", beam)
+
+
 @dataclass(frozen=True)
 class Assignment:
     """An injective terminal-to-beam matching and its total bid.
@@ -201,7 +235,7 @@ class Assignment:
     total_cost: float
 
     def __post_init__(self) -> None:
-        pairs = [(_whole("terminal", i), _whole("beam", j)) for i, j in self.pairs]
+        pairs = [_pair(pair) for pair in self.pairs]
         pairs = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
         terminals = [i for i, _ in pairs]
         beams = [j for _, j in pairs]
@@ -210,6 +244,10 @@ class Assignment:
         if len(set(beams)) != len(beams):
             raise ValueError("each beam may be assigned at most once")
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "total_cost", float(self.total_cost))
+
+    # (pairs, total_cost): injective ``int`` pairs sorted by beam, a float total.
+    _trusted = classmethod(_adopt)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -239,13 +277,13 @@ class AuctionOutcome:
     payments: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        payments = {
-            (_whole("terminal", i), _whole("beam", j)): float(p)
-            for (i, j), p in self.payments.items()
-        }
+        payments = {_pair(pair): float(p) for pair, p in self.payments.items()}
         if set(payments) != set(self.assignment.pair_set):
             raise ValueError("payments must cover exactly the winning pairs")
         object.__setattr__(self, "payments", payments)
+
+    # (assignment, payments): float payments keyed by exactly the winning pairs.
+    _trusted = classmethod(_adopt)
 
 
 @dataclass(frozen=True)
@@ -315,4 +353,4 @@ def build_bid_matrix(scenario: Scenario) -> BidMatrix:
         raise
     demand = np.array(demand, dtype=float).reshape(scenario.n_terminals, -1)
     capacities = np.array([beam.capacity for beam in scenario.beams], dtype=float)
-    return BidMatrix(np.maximum(0.0, capacities - demand))
+    return BidMatrix._trusted(np.maximum(0.0, capacities - demand))

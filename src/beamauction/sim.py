@@ -197,26 +197,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     availability order, 1..N. Deterministic for a given config; the
     optimum never exceeds greedy per instance, so neither do the means.
     """
-    rows = []
-    for n_beams in config.beam_counts:
-        vcg_avg = np.empty(config.replications)
-        greedy_avg = np.empty(config.replications)
+    counts, reps = config.beam_counts, config.replications
+    vcg_avg, greedy_avg = np.empty((len(counts), reps)), np.empty((len(counts), reps))
+    for k, n_beams in enumerate(counts):
         order = range(1, n_beams + 1)
-        for rep in range(config.replications):
+        for rep in range(reps):
             seed = _replication_seed(config.rng_seed, n_beams, rep)
             demand = _draw_demands(config.n_terminals, n_beams, config.demand_low,
                                    config.demand_high, seed)
-            bids = BidMatrix(np.maximum(0.0, config.capacity - demand))
-            vcg_avg[rep] = determine_winners(bids).total_cost / n_beams
-            greedy_avg[rep] = greedy_allocate(bids, order).total_cost / n_beams
-        rows.append(
-            ExperimentRow(
-                n_fasb=n_beams,
-                vcg_mean=float(vcg_avg.mean()),
-                vcg_std=float(vcg_avg.std()),
-                greedy_mean=float(greedy_avg.mean()),
-                greedy_std=float(greedy_avg.std()),
-                replications=config.replications,
-            )
-        )
-    return ExperimentReport(config=config, rows=tuple(rows))
+            # ExperimentConfig checked the bounds: every bid is in [0, capacity].
+            bids = BidMatrix._trusted(np.maximum(0.0, config.capacity - demand))
+            vcg_avg[k, rep] = determine_winners(bids).total_cost / n_beams
+            greedy_avg[k, rep] = greedy_allocate(bids, order).total_cost / n_beams
+    # One pass per statistic over all rows gives each row's own mean and std.
+    stats = zip(counts, vcg_avg.mean(axis=1).tolist(), vcg_avg.std(axis=1).tolist(),
+                greedy_avg.mean(axis=1).tolist(), greedy_avg.std(axis=1).tolist())
+    rows = tuple(ExperimentRow(*row, reps) for row in stats)
+    return ExperimentReport(config=config, rows=rows)

@@ -9,6 +9,7 @@ for an excluded pair may route through that bidder's other entries.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -230,6 +231,23 @@ class TestUtilityOfReport:
         assert utility_of_report([[1, 3], [2, 5]], [1, 3], 1.0) == 1.0
         with pytest.raises(ValueError, match="terminal"):
             utility_of_report([[1, 3], [2, 5]], [1, 3], 1.5)
+
+    @pytest.mark.parametrize(
+        "value, rule",
+        [
+            (math.nan, "finite and <= 2.9961552247705263e+307"),
+            (math.inf, "finite and <= 2.9961552247705263e+307"),
+            (-2.0, "non-negative"),
+            (1e308, "finite and <= 2.9961552247705263e+307"),
+        ],
+    )
+    def test_a_refused_report_names_its_cell(self, value, rule):
+        for terminal, row, column in ((1, [value, 1.0], 1), (1, [1.0, value], 2),
+                                      (2, [1.0, value], 2)):
+            message = (f"bid matrix entries must be {rule}; row {terminal}, "
+                       f"column {column} holds {value!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                utility_of_report([[1, 3], [2, 5]], row, terminal)
 
 
 class TestPaymentProperties:

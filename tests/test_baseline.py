@@ -91,6 +91,10 @@ class TestGreedyAllocate:
             greedy_allocate([[1, 3], [2, 5]], [1.5, 2])
         whole = greedy_allocate([[1, 3], [2, 5]], [np.float64(1), "2"])
         assert whole == greedy_allocate([[1, 3], [2, 5]], [1, 2])
+        # Text is not read one beam per character, and a lone number is no order.
+        for not_an_order in ("21", b"21", 21):
+            with pytest.raises(ValueError, match="permutation"):
+                greedy_allocate([[1, 3], [2, 5]], not_an_order)
 
 
 class TestDominance:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamauction import (
@@ -20,6 +20,10 @@ from beamauction import (
     availability_order,
     build_bid_matrix,
     compute_bid,
+    greedy_allocate,
+    run_auction,
+    solve_rectangular,
+    solve_rectangular_forbidden,
 )
 
 
@@ -312,6 +316,15 @@ class TestAssignment:
         with pytest.raises(ValueError, match="beam"):
             Assignment(pairs=((1, 1), (2, 1)), total_cost=0.0)
 
+    def test_text_is_not_a_pair_and_the_total_is_a_float(self):
+        # "11" would unpack one character per id, as the pair (1, 1).
+        for text in ("11", b"11"):
+            with pytest.raises(ValueError, match="expected a .terminal, beam. pair"):
+                Assignment(pairs=(text, (2, 2)), total_cost=3.0)
+        total = Assignment(pairs=((1, 1),), total_cost="3.5").total_cost
+        assert total == 3.5 and type(total) is float
+        assert type(Assignment(((1, 1),), np.float64(2)).total_cost) is float
+
     def test_lookup_helpers(self):
         a = Assignment(pairs=((2, 1), (1, 2)), total_cost=3.0)
         assert len(a) == 2
@@ -337,3 +350,50 @@ class TestAuctionOutcome:
         with pytest.raises(ValueError, match="whole number"):
             AuctionOutcome(assignment=b, payments={(1.5, 2): 3.0})
         assert AuctionOutcome(b, {(1.0, np.int64(2)): 3.0}).payments == {(1, 2): 3.0}
+
+    def test_text_is_not_a_pair(self):
+        a = Assignment(pairs=((1, 1),), total_cost=2.0)
+        for text in ("11", b"11"):
+            with pytest.raises(ValueError, match="expected a .terminal, beam. pair"):
+                AuctionOutcome(assignment=a, payments={text: 2.0})
+
+
+@st.composite
+def trusted_cases(draw):
+    """A bid matrix, N > M too, with forbidden cells and a beam order."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 150.0),
+                     st.floats(0.0, 1e300))  # tie-heavy, continuous, large
+    bids = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n)))
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    forbidden = draw(st.lists(st.sampled_from(cells), max_size=m * n))
+    order = draw(st.permutations(range(1, n + 1)))
+    return bids.reshape(m, n), forbidden, order
+
+
+class TestTrustedConstruction:
+    """The private trusted constructors build what the public ones would."""
+
+    @given(trusted_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_trusted_and_public_paths_agree(self, case):
+        values, forbidden, order = case
+        trusted, public = BidMatrix._trusted(values.copy()), BidMatrix(values)
+        assert np.array_equal(trusted.values, public.values)
+        assert trusted.max_bid == public.max_bid and type(trusted.max_bid) is float
+        assert not trusted.values.flags.writeable
+
+        results = (
+            solve_rectangular(values),
+            solve_rectangular_forbidden(values, forbidden),
+            greedy_allocate(values, order),
+        )
+        for result in results:
+            assert Assignment(result.pairs, result.total_cost) == result
+            assert all(type(index) is int for pair in result.pairs for index in pair)
+            assert type(result.total_cost) is float
+
+        outcome = run_auction(values)
+        rebuilt = AuctionOutcome(outcome.assignment, outcome.payments)
+        assert rebuilt.payments == outcome.payments
+        assert all(type(paid) is float for paid in outcome.payments.values())

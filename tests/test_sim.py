@@ -1,5 +1,7 @@
 """Scenario generation and the VCG-vs-greedy sweep."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,16 @@ class TestRunExperiment:
             backward.rows, key=lambda r: r.n_fasb
         )
 
+    def test_bids_above_the_size_limit_name_their_cell(self):
+        # The same located message the public BidMatrix constructor gives.
+        config = ExperimentConfig(capacity=1e308, beam_counts=(2,), replications=1)
+        message = (
+            "bid matrix entries must be finite and <= 2.9961552247705263e+307; "
+            "row 1, column 1 holds 1e+308"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(config)
+
     def test_scaling_demands_and_capacity_scales_the_means(self):
         base = ExperimentConfig(
             n_terminals=8, beam_counts=(2, 3), replications=10, rng_seed=21
@@ -263,8 +275,11 @@ def _public_path_rows(config):
         dict(capacity=240.0, replications=2),
         dict(n_terminals=8, replications=2),
         dict(replications=1, rng_seed=7),
+        # Longer than numpy's 128-element pairwise-summation block.
+        dict(n_terminals=4, beam_counts=(2, 3), replications=300),
     ],
-    ids=["defaults", "every-bid-ties", "zero-clamped", "capacity", "m-equals-n", "one-rep"],
+    ids=["defaults", "every-bid-ties", "zero-clamped", "capacity", "m-equals-n",
+         "one-rep", "long-rows"],
 )
 def test_sweep_rows_equal_the_public_scenario_path(settings):
     config = ExperimentConfig(**settings)
