@@ -45,7 +45,7 @@ from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Assignment, BidMatrix, as_bid_matrix
+from .model import Assignment, BidMatrix, _pair, as_bid_matrix
 
 __all__ = [
     "default_dummy_cost",
@@ -387,14 +387,7 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
 
 def _forbidden_cells(bids: BidMatrix, forbidden: Collection) -> frozenset:
     """The 0-based cells of 1-based (terminal, beam) pairs, checked one by one."""
-    cells = set()
-    for pair in forbidden:
-        try:  # a str or bytes would unpack one character per entry
-            terminal, beam = () if isinstance(pair, str | bytes) else pair
-        except (TypeError, ValueError):  # not exactly two entries
-            raise ValueError(f"forbidden entry {pair!r} is not a pair") from None
-        cells.add(bids._cell(terminal, beam))
-    return frozenset(cells)
+    return frozenset(_pair(pair, "forbidden entry", bids._cell) for pair in forbidden)
 
 
 def solve_square(

@@ -27,7 +27,6 @@ from .assignment import (
     _exclusion_totals,
     _solve,
     solve_rectangular,
-    solve_rectangular_forbidden,
 )
 from .model import Assignment, AuctionOutcome, BidMatrix, _whole, as_bid_matrix
 
@@ -58,11 +57,11 @@ def payment(
     each payment can be checked against it independently.
     """
     bids = as_bid_matrix(bids)
-    bid = bids.bid(terminal, beam)  # also validates bounds
-    if (_whole("terminal", terminal), _whole("beam", beam)) not in winners.pair_set:
+    i, j = bids._cell(terminal, beam)  # the one check of the pair
+    if (i + 1, j + 1) not in winners.pair_set:
         return 0.0
-    without = solve_rectangular_forbidden(bids, [(terminal, beam)]).total_cost
-    return without - (winners.total_cost - bid)
+    without = _assignment(bids, _solve(bids, frozenset({(i, j)}))).total_cost
+    return without - (winners.total_cost - float(bids.values[i, j]))
 
 
 def run_auction(bids: BidMatrix | np.ndarray | Sequence) -> AuctionOutcome:
@@ -122,5 +121,5 @@ def utility_of_report(
     utility = 0.0
     for (i, j), paid in outcome.payments.items():
         if i == terminal:
-            utility += paid - true_bids.bid(i, j)
+            utility += paid - float(true_bids.values[i - 1, j - 1])
     return utility

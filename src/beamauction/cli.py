@@ -142,16 +142,24 @@ def _demand_bounds(spec: str | Sequence) -> dict:
     return {"demand_low": parts[0], "demand_high": parts[1]}
 
 
-# Each simulate setting, given as a flag or a config key, as the
-# ExperimentConfig fields it sets; a setting not given keeps the field's
+_DEFAULTS = ExperimentConfig()
+
+# Each simulate setting, given as a flag or a config key: the ExperimentConfig
+# fields it sets and its help text. A setting not given keeps the field's
 # default.
 _SIMULATE_SETTINGS = {
-    "terminals": lambda v: {"n_terminals": v},
-    "fasb_range": lambda v: {"beam_counts": _beam_counts(v)},
-    "capacity": lambda v: {"capacity": v},
-    "demand": _demand_bounds,
-    "reps": lambda v: {"replications": v},
-    "seed": lambda v: {"rng_seed": v},
+    "terminals": (lambda v: {"n_terminals": v},
+                  f"number of terminals (default {_DEFAULTS.n_terminals})"),
+    "fasb_range": (lambda v: {"beam_counts": _beam_counts(v)},
+                   f"beam counts to sweep, LOW..HIGH or a single count (default "
+                   f"{_DEFAULTS.beam_counts[0]}..{_DEFAULTS.beam_counts[-1]})"),
+    "capacity": (lambda v: {"capacity": v},
+                 f"beam capacity in Mbps (default {_DEFAULTS.capacity:g})"),
+    "demand": (_demand_bounds, f"uniform demand bounds LOW,HIGH in Mbps (default "
+                               f"{_DEFAULTS.demand_low:g},{_DEFAULTS.demand_high:g})"),
+    "reps": (lambda v: {"replications": v},
+             f"replications per beam count (default {_DEFAULTS.replications})"),
+    "seed": (lambda v: {"rng_seed": v}, f"base RNG seed (default {_DEFAULTS.rng_seed})"),
 }
 
 
@@ -177,7 +185,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fields = {}
         for key, value in settings.items():
             if value is not None:
-                fields.update(_SIMULATE_SETTINGS[key](value))
+                fields.update(_SIMULATE_SETTINGS[key][0](value))
         config = ExperimentConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
@@ -301,35 +309,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    sweep = ExperimentConfig()
     p_sim = sub.add_parser(
         "simulate", help="sweep beam counts and write a VCG-vs-greedy report"
     )
     p_sim.add_argument("--config", help="JSON config file (flags override it)")
-    p_sim.add_argument(
-        "--terminals", help=f"number of terminals (default {sweep.n_terminals})"
-    )
-    p_sim.add_argument(
-        "--fasb-range",
-        help=(
-            f"beam counts to sweep, LOW..HIGH or a single count (default "
-            f"{sweep.beam_counts[0]}..{sweep.beam_counts[-1]})"
-        ),
-    )
-    p_sim.add_argument(
-        "--capacity", help=f"beam capacity in Mbps (default {sweep.capacity:g})"
-    )
-    p_sim.add_argument(
-        "--demand",
-        help=(
-            f"uniform demand bounds LOW,HIGH in Mbps (default "
-            f"{sweep.demand_low:g},{sweep.demand_high:g})"
-        ),
-    )
-    p_sim.add_argument(
-        "--reps", help=f"replications per beam count (default {sweep.replications})"
-    )
-    p_sim.add_argument("--seed", help=f"base RNG seed (default {sweep.rng_seed})")
+    for key, (_, text) in _SIMULATE_SETTINGS.items():
+        p_sim.add_argument("--" + key.replace("_", "-"), help=text)
     p_sim.add_argument(
         "--out", default="report.csv", help="output CSV path (default report.csv)"
     )

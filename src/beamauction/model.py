@@ -9,18 +9,17 @@ winning bid. All rates are in Mbps; ids are 1-based.
 
 Public constructors check every input. A private ``_trusted`` adopts what
 the package built from checked input, uncopied and unchecked: bids clamped
-from a checked draw (``run_experiment``) or ``Scenario`` (``build_bid_matrix``)
-or with one checked row swapped in (``utility_of_report``), the solver's and
-greedy's matchings, and ``run_auction``'s payments. ``BidMatrix._trusted``
-still checks the largest bid, deferring past the size limit to the public
-constructor.
+from a checked draw (``run_experiment``), bids from :func:`compute_bid`
+(``build_bid_matrix``), bids with one checked row swapped in
+(``utility_of_report``), the solver's and greedy's matchings, and
+``run_auction``'s payments. ``BidMatrix._trusted`` still checks the largest
+bid, deferring past the size limit to the public constructor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -78,6 +77,14 @@ def _whole(name: str, value) -> int:
     raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
 
 
+def _number(value) -> float:
+    """``float(value)``, or NaN, which every range check refuses, if it has none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 @dataclass(frozen=True)
 class UserTerminal:
     """A bidder: one ground terminal with a time-varying demand rate.
@@ -94,12 +101,12 @@ class UserTerminal:
         if self.id < 1:
             raise ConfigurationError(f"terminal id must be >= 1, got {self.id}")
         demand = {}
-        for epoch, rate in self.demand.items():
-            epoch, rate = _whole("demand epoch", epoch), float(rate)
+        for epoch, given in self.demand.items():
+            epoch, rate = _whole("demand epoch", epoch), _number(given)
             if not 0.0 <= rate < math.inf:  # also rejects NaN
                 raise ConfigurationError(
                     f"terminal {self.id}: demand at epoch {epoch} must be a "
-                    f"non-negative finite rate, got {rate}"
+                    f"non-negative finite rate, got {given!r}"
                 )
             demand[epoch] = rate
         object.__setattr__(self, "demand", demand)
@@ -126,11 +133,13 @@ class SpotBeam:
         object.__setattr__(self, "available_at", _whole("epoch", self.available_at))
         if self.id < 1:
             raise ConfigurationError(f"beam id must be >= 1, got {self.id}")
-        if not math.isfinite(self.capacity) or self.capacity <= 0:
+        capacity = _number(self.capacity)
+        if not (math.isfinite(capacity) and capacity > 0):  # also rejects NaN
             raise ConfigurationError(
                 f"beam {self.id}: capacity must be positive and finite, "
-                f"got {self.capacity}"
+                f"got {self.capacity!r}"
             )
+        object.__setattr__(self, "capacity", capacity)
 
     @property
     def availability_key(self) -> tuple[int, int]:
@@ -215,11 +224,16 @@ def as_bid_matrix(bids: BidMatrix | np.ndarray | Sequence) -> BidMatrix:
     return bids if isinstance(bids, BidMatrix) else BidMatrix(bids)
 
 
-def _pair(pair) -> tuple[int, int]:
-    """A 1-based (terminal, beam) pair as ``int``s."""
-    if isinstance(pair, str | bytes):  # would unpack one character per id
-        raise ValueError(f"expected a (terminal, beam) pair, got {pair!r}")
-    terminal, beam = pair
+def _pair(pair, name: str, read=None) -> tuple[int, int]:
+    """A 1-based (terminal, beam) ``name`` as ``int``s, or ``read(terminal, beam)``."""
+    try:  # a str or bytes would unpack one character per id
+        terminal, beam = () if isinstance(pair, str | bytes) else pair
+    except (TypeError, ValueError):  # not exactly two entries
+        raise ValueError(
+            f"{name} {pair!r} is not a pair: expected a (terminal, beam) pair"
+        ) from None
+    if read is not None:
+        return read(terminal, beam)
     return _whole("terminal", terminal), _whole("beam", beam)
 
 
@@ -235,7 +249,7 @@ class Assignment:
     total_cost: float
 
     def __post_init__(self) -> None:
-        pairs = [_pair(pair) for pair in self.pairs]
+        pairs = [_pair(pair, "assignment entry") for pair in self.pairs]
         pairs = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
         terminals = [i for i, _ in pairs]
         beams = [j for _, j in pairs]
@@ -277,7 +291,7 @@ class AuctionOutcome:
     payments: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        payments = {_pair(pair): float(p) for pair, p in self.payments.items()}
+        payments = {_pair(k, "payment key"): float(p) for k, p in self.payments.items()}
         if set(payments) != set(self.assignment.pair_set):
             raise ValueError("payments must cover exactly the winning pairs")
         object.__setattr__(self, "payments", payments)
@@ -343,14 +357,5 @@ def compute_bid(terminal: UserTerminal, beam: SpotBeam) -> float:
 
 def build_bid_matrix(scenario: Scenario) -> BidMatrix:
     """Every terminal's :func:`compute_bid` for every beam, as one array."""
-    at_epochs = operator.itemgetter(*[beam.available_at for beam in scenario.beams])
-    try:
-        demand = [at_epochs(terminal.demand) for terminal in scenario.terminals]
-    except KeyError:
-        for terminal in scenario.terminals:
-            for beam in scenario.beams:
-                compute_bid(terminal, beam)  # raises for the first missing sample
-        raise
-    demand = np.array(demand, dtype=float).reshape(scenario.n_terminals, -1)
-    capacities = np.array([beam.capacity for beam in scenario.beams], dtype=float)
-    return BidMatrix._trusted(np.maximum(0.0, capacities - demand))
+    bids = [[compute_bid(t, b) for b in scenario.beams] for t in scenario.terminals]
+    return BidMatrix._trusted(np.array(bids, dtype=float))

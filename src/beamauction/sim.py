@@ -39,29 +39,6 @@ __all__ = [
 REPORT_HEADER = "n_fasb,mechanism,mean_avg_sbsdc,stddev,replications"
 
 
-def _check_draw(capacity, demand_low, demand_high) -> dict[str, float]:
-    """Beam capacity and demand bounds by name, as floats; reject unusable ones."""
-    draw = dict(capacity=capacity, demand_low=demand_low, demand_high=demand_high)
-    for name, value in draw.items():
-        try:
-            draw[name] = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(
-                f"{name} must be a number, got {value!r}"
-            ) from None
-    capacity, demand_low, demand_high = draw.values()
-    if not (math.isfinite(capacity) and capacity > 0):
-        raise ConfigurationError(
-            f"capacity must be positive and finite, got {capacity}"
-        )
-    if not (math.isfinite(demand_high) and 0 <= demand_low <= demand_high):
-        raise ConfigurationError(
-            f"demand bounds must be finite with 0 <= low <= high, got "
-            f"[{demand_low}, {demand_high}]"
-        )
-    return draw
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: fixed terminal pool, varying number of beams."""
@@ -94,9 +71,24 @@ class ExperimentConfig:
                 f"need at least as many terminals ({self.n_terminals}) as the "
                 f"largest beam count ({max(beam_counts)})"
             )
-        draw = _check_draw(self.capacity, self.demand_low, self.demand_high)
-        for name, value in draw.items():
-            object.__setattr__(self, name, value)
+        for name in ("capacity", "demand_low", "demand_high"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {value!r}"
+                ) from None
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise ConfigurationError(
+                f"capacity must be positive and finite, got {self.capacity}"
+            )
+        low, high = self.demand_low, self.demand_high
+        if not (math.isfinite(high) and 0 <= low <= high):
+            raise ConfigurationError(
+                f"demand bounds must be finite with 0 <= low <= high, got "
+                f"[{low}, {high}]"
+            )
         if self.replications < 1:
             raise ConfigurationError(
                 f"replications must be >= 1, got {self.replications}"
@@ -156,26 +148,21 @@ def generate_scenario(
     Beams get capacity ``capacity`` and availability epochs 1..N; each
     terminal's demand at each epoch is an independent uniform draw from
     [demand_low, demand_high]. Identical seeds reproduce the scenario
-    bit-for-bit.
+    bit-for-bit. The arguments are checked by :class:`ExperimentConfig`
+    as a sweep of the one beam count ``n_beams``, so an error names its
+    field: ``beam_counts`` for ``n_beams`` and ``rng_seed`` for ``seed``.
     """
-    n_terminals = _whole("n_terminals", n_terminals)
-    n_beams, seed = _whole("n_beams", n_beams), _whole("seed", seed)
-    if not n_terminals >= n_beams >= 1 or seed < 0:
-        raise ConfigurationError(
-            f"need n_terminals >= n_beams >= 1 and seed >= 0, got {n_terminals}, "
-            f"{n_beams} and seed {seed}"
-        )
-    draw = _check_draw(capacity, demand_low, demand_high)
-    capacity, demand_low, demand_high = draw.values()
-
-    demands = _draw_demands(n_terminals, n_beams, demand_low, demand_high, seed)
-    epochs = range(1, n_beams + 1)
+    config = ExperimentConfig(n_terminals, (n_beams,), capacity, demand_low,
+                              demand_high, rng_seed=seed)
+    epochs = range(1, config.beam_counts[0] + 1)
+    demands = _draw_demands(config.n_terminals, len(epochs), config.demand_low,
+                            config.demand_high, config.rng_seed)
     terminals = tuple(
         UserTerminal(id=i, demand=dict(zip(epochs, row)))
         for i, row in enumerate(demands.tolist(), start=1)
     )
-    beams = tuple(SpotBeam(id=j, capacity=capacity, available_at=j) for j in epochs)
-    return Scenario(terminals=terminals, beams=beams, rng_seed=seed)
+    beams = tuple(SpotBeam(j, config.capacity, available_at=j) for j in epochs)
+    return Scenario(terminals=terminals, beams=beams, rng_seed=config.rng_seed)
 
 
 def _draw_demands(n_terminals, n_beams, demand_low, demand_high, seed) -> np.ndarray:

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamauction import (
     assignment,
@@ -209,6 +211,34 @@ class TestExchangeGraph:
         )
         with pytest.raises(RuntimeError, match="did not close"):
             assignment._exclusion_totals(solved)
+
+
+@st.composite
+def beam_shifts(draw):
+    """Whole-number bids with M > N, one beam j, and a whole shift c."""
+    m, n = draw(st.sampled_from([(40, 8), (300, 16)]))
+    bids = draw(st.sampled_from([whole_mbps_bids, draw_tie_heavy_bids]))(
+        seeded_rng(210, draw(st.integers(0, 2**32 - 1))), m, n
+    )
+    return bids, draw(st.integers(1, n)), float(draw(st.integers(1, 49)))
+
+
+class TestBeamShift:
+    """Metamorphic relation: every full matching holds one bid of beam j, so
+    adding c to that beam's column adds c to every total and to the price of
+    its winner, and moves nothing else. Whole numbers make it exact."""
+
+    @given(beam_shifts())
+    @settings(max_examples=100, deadline=None)
+    def test_shifting_one_beam_moves_only_its_price(self, case):
+        bids, j, c = case
+        shifted = bids.copy()
+        shifted[:, j - 1] += c
+        before, after = run_auction(bids), run_auction(shifted)
+        assert after.assignment.pairs == before.assignment.pairs
+        assert after.assignment.total_cost == before.assignment.total_cost + c
+        for (i, beam), paid in before.payments.items():
+            assert after.payments[i, beam] == paid + (c if beam == j else 0.0)
 
 
 class TestUtilityOfReport:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamauction import Assignment, AuctionOutcome, as_bid_matrix, cli
+from beamauction import Assignment, AuctionOutcome, ExperimentConfig, as_bid_matrix, cli
 from beamauction.cli import (
     BidMatrixParseError,
     format_bid_matrix,
@@ -324,6 +324,22 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_help_shows_every_experiment_config_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        shown = " ".join(capsys.readouterr().out.split())  # unwrap help lines
+        d = ExperimentConfig()
+        for flag, default in [
+            ("--terminals", d.n_terminals),
+            ("--fasb-range", f"{d.beam_counts[0]}..{d.beam_counts[-1]}"),
+            ("--capacity", f"{d.capacity:g}"),
+            ("--demand", f"{d.demand_low:g},{d.demand_high:g}"),
+            ("--reps", d.replications),
+            ("--seed", d.rng_seed),
+        ]:
+            line = rf"{flag} \S+ [^-]*\(default {re.escape(str(default))}\)"
+            assert re.search(line, shown), flag
 
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", json.dumps({"terminal_count": 5}))

@@ -245,6 +245,22 @@ class TestTerminalAndBeam:
         with pytest.raises(ConfigurationError):
             SpotBeam(id=1, capacity=0.0, available_at=1)
 
+    def test_capacity_and_rates_are_read_as_floats(self):
+        for given in ("150", 150, np.int64(150), 150.0):
+            capacity = SpotBeam(1, given, 1).capacity
+            assert capacity == 150.0 and type(capacity) is float
+        for bad in ("abc", None, [150], 10**400, "nan", -1):
+            message = f"capacity must be positive and finite, got {bad!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                SpotBeam(1, bad, 1)
+        terminal = UserTerminal(1, {1: "2.5", 2: 3, 3: np.float32(0.5)})
+        assert terminal.demand == {1: 2.5, 2: 3.0, 3: 0.5}
+        assert all(type(rate) is float for rate in terminal.demand.values())
+        for bad in ("abc", None, [1.0], 10**400, "-1"):
+            message = f"non-negative finite rate, got {bad!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                UserTerminal(1, {1: bad})
+
     def test_beam_id_and_epoch_are_whole_numbers(self):
         with pytest.raises(ConfigurationError, match="beam id must be >= 1"):
             SpotBeam(0, 150.0, 1)
@@ -318,8 +334,10 @@ class TestAssignment:
 
     def test_text_is_not_a_pair_and_the_total_is_a_float(self):
         # "11" would unpack one character per id, as the pair (1, 1).
-        for text in ("11", b"11"):
+        for text in ("11", b"11", 1, (1, 1, 1), (1,), None):
             with pytest.raises(ValueError, match="expected a .terminal, beam. pair"):
+                Assignment(pairs=(text, (2, 2)), total_cost=3.0)
+            with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a pair")):
                 Assignment(pairs=(text, (2, 2)), total_cost=3.0)
         total = Assignment(pairs=((1, 1),), total_cost="3.5").total_cost
         assert total == 3.5 and type(total) is float
@@ -353,8 +371,10 @@ class TestAuctionOutcome:
 
     def test_text_is_not_a_pair(self):
         a = Assignment(pairs=((1, 1),), total_cost=2.0)
-        for text in ("11", b"11"):
+        for text in ("11", b"11", 1, (1, 1, 1), (1,), None):
             with pytest.raises(ValueError, match="expected a .terminal, beam. pair"):
+                AuctionOutcome(assignment=a, payments={text: 2.0})
+            with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a pair")):
                 AuctionOutcome(assignment=a, payments={text: 2.0})
 
 

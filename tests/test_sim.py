@@ -96,6 +96,30 @@ class TestGenerateScenario:
         assert availability_order(scenario.beams) == list(epochs)
 
 
+# Bad sweep inputs as generate_scenario's arguments (n_terminals, n_beams,
+# capacity, demand_low, demand_high, seed).
+BAD_SWEEP_INPUTS = {
+    "terminals-fewer-than-beams": (2, 3, 150.0, 50.0, 150.0, 0),
+    "zero-beams": (3, 0, 150.0, 50.0, 150.0, 0),
+    "negative-seed": (3, 2, 150.0, 50.0, 150.0, -1),
+    "fractional-seed": (3, 2, 150.0, 50.0, 150.0, 1.5),
+    "zero-capacity": (3, 2, 0.0, 50.0, 150.0, 0),
+    "infinite-capacity": (3, 2, np.inf, 50.0, 150.0, 0),
+    "text-capacity": (3, 2, "abc", 50.0, 150.0, 0),
+    "demand-low-above-high": (3, 2, 150.0, 100.0, 50.0, 0),
+}
+
+
+@pytest.mark.parametrize("args", BAD_SWEEP_INPUTS.values(), ids=BAD_SWEEP_INPUTS)
+def test_one_rule_refuses_bad_input_at_both_entry_points(args):
+    n_terminals, n_beams, capacity, low, high, seed = args
+    with pytest.raises(ConfigurationError) as scenario_error:
+        generate_scenario(n_terminals, n_beams, capacity, low, high, seed)
+    with pytest.raises(ConfigurationError) as config_error:
+        ExperimentConfig(n_terminals, (n_beams,), capacity, low, high, rng_seed=seed)
+    assert str(scenario_error.value) == str(config_error.value)
+
+
 class TestExperimentConfig:
     def test_defaults_match_the_reference_sweep(self):
         config = ExperimentConfig()
