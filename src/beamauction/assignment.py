@@ -3,8 +3,9 @@
 One kernel serves every solve. It is the rectangular shortest-augmenting-
 path method of Jonker & Volgenant (Computing 38, 1987) in the form given
 by Crouse (IEEE TAES 52(4), 2016): Dijkstra searches start from the short
-side of the bid matrix (beams when M >= N) and scan the long side with
-numpy masks, so a solve costs O(N^2 M) and never builds a square matrix.
+side of the bid matrix (beams when M >= N), from each vertex a row-minimum
+start leaves free, and scan the long side with numpy masks, so a solve
+costs O(N^2 M) and never builds a square matrix.
 Forbidden pairs are +inf entries. When they leave no assignment that
 serves the whole short side, the solve is re-run as an explicit
 maximum-cardinality fallback whose searches start from every free vertex
@@ -19,9 +20,10 @@ cardinality and serves every vertex whose potential is strictly below
 its side's slack level, so the canonical optimum is the lexicographically
 smallest such matching of the tight graph. Tightness is judged up to the
 rounding the potential updates can accumulate, and a tie-break swap that
-would raise the re-summed total is refused. When the kernel's matching
-serves the whole short side and is the only tight edge of every
-short-side vertex, the optimum is forced and is returned as it is.
+would raise the re-summed total is refused. The tie-break only moves a
+beam to a tight terminal below its own (to any tight terminal, if the
+beam is unserved), so when no beam has one the kernel's matching is
+already canonical and is returned as it is.
 
 A total is ``math.fsum`` of the matched bids, the correctly rounded sum,
 so optima holding the same bids in different cells have equal totals and
@@ -76,16 +78,18 @@ def _shortest_augmenting_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Cheapest matching of an n x m matrix, n <= m, of the largest size.
 
-    Rows are the short side; ``+inf`` marks a forbidden pair. Each
-    Dijkstra search starts from the next free row and ends at the nearest
-    free column. If one finds no free column, no matching serves every
-    row, and the solve restarts with ``max_cardinality`` set: then every
-    search starts from all free rows at once, which sit at a common
-    potential ``level``, and the first search that finds no free column
-    ends the solve with the cheapest matching of the largest feasible
-    size. The one-row start is kept for the common case because it is
-    one row scan: starting every search from all free rows made this
-    kernel about 4x slower on a 40 x 8 matrix and 40x on 10000 x 32.
+    Rows are the short side; ``+inf`` marks a forbidden pair. Each row in
+    turn first takes its cheapest column if that is still free, with ``u``
+    that bid and ``v == 0`` (Jonker & Volgenant's row-reduction start).
+    Each row left free then runs a Dijkstra search to the nearest free
+    column. If one finds no free column, no matching serves every row,
+    and the solve restarts with ``max_cardinality`` set, skipping that
+    start: every search then starts from all free rows at once, which sit
+    at a common potential ``level``, and the first that finds no free
+    column ends the solve with the cheapest matching of the largest
+    feasible size. One-row searches are kept for the common case because
+    each is one row scan: starting every search from all free rows made
+    this kernel about 4x slower on a 40 x 8 matrix and 40x on 10000 x 32.
 
     Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
     unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
@@ -98,7 +102,13 @@ def _shortest_augmenting_paths(
     v = np.zeros(m)
     col4row = [-1] * n
     row4col = [-1] * m
-    free_rows = list(range(n))
+    if not max_cardinality:  # each row takes its cheapest column while it is free
+        best = cost.argmin(axis=1)
+        u = cost[np.arange(n), best]
+        for i, (j, low) in enumerate(zip(best.tolist(), u.tolist())):
+            if row4col[j] < 0 and low < _INF:
+                row4col[j], col4row[i] = i, j
+    free_rows = [i for i, j in enumerate(col4row) if j < 0]
     level = 0.0
     while free_rows:
         # Distances of the unscanned columns from the source rows; a
@@ -296,8 +306,11 @@ def _solve(
     reduced = short - u[:, None]
     reduced -= v
     tight = reduced <= eps
-    if size == len(col4row) == tight.sum() and tight[np.arange(size), col4row].all():
-        term = term_of.tolist()  # each short row's one tight edge: forced
+    by_beam = tight.T if flip else tight
+    first = by_beam.argmax(axis=0)  # each beam's first tight terminal, else 0
+    own = np.where(term_of >= 0, term_of, m)  # an unserved beam ranks last
+    if not (by_beam[first, np.arange(n)] & (first < own)).any():
+        term = term_of.tolist()  # no beam has a candidate: the tie-break keeps it
     else:
         optional_short = (
             u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
@@ -354,24 +367,26 @@ def _exclusion_totals(solved: _Solved) -> dict[tuple[int, int], float]:
     dist[:n, n] = np.maximum(reduced[np.arange(n), free], 0.0)
     dist[n, :n] = -v[partner]
 
-    pred = np.indices((size, size))[0]
-    for k in range(size):
-        through = dist[:, k, None] + dist[k]
-        better = through < dist
-        dist = np.where(better, through, dist)
-        pred = np.where(better, pred[k], pred)
+    pred = np.arange(size).repeat(size).reshape(size, size)
+    through, better = np.empty_like(dist), np.empty(dist.shape, dtype=bool)
+    for k in range(size):  # row and column k never improve: dist[k, k] >= 0
+        np.add(dist[:, k, None], dist[k], out=through)
+        np.less(through, dist, out=better)
+        np.copyto(dist, through, where=better)
+        np.copyto(pred, pred[k], where=better)
 
     matched = short[np.arange(n), partner].tolist()
-    partner = partner.tolist()
+    partner, free, pred = partner.tolist(), free.tolist(), pred.tolist()
+    cycle = dist.diagonal().tolist()
     totals = {}
     for a in range(n):
-        if dist[a, a] == _INF:  # only 1 x 1 has no cycle: nothing is left
+        if cycle[a] == _INF:  # only 1 x 1 has no cycle: nothing is left
             total = 0.0
         else:
             held = matched.copy()
-            x = a
+            x, back = a, pred[a]
             for _ in range(size):
-                p = int(pred[a, x])
+                p = back[x]
                 if p < n:  # p takes x's partner, or its free vertex if x == n
                     held[p] = float(short[p, partner[x] if x < n else free[p]])
                 if p == a:

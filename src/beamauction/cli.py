@@ -49,37 +49,56 @@ class BidMatrixParseError(ValueError):
     """A bid-matrix file could not be parsed; the message names the cell."""
 
 
-def parse_bid_matrix(text: str) -> BidMatrix:
-    """Parse headerless CSV (one row per terminal) into a bid matrix.
+_BLOCK_ROWS = 1024
 
-    Blank lines are skipped and every cell is read by ``float()``. A cell
-    it refuses or a ragged row is reported first, in row order; then
-    :class:`BidMatrix` names the first value it refuses.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise BidMatrixParseError("bid matrix file is empty")
-    width = lines[0].count(",") + 1
-    rows: list[list[float]] = []
-    for r, line in enumerate(lines, start=1):
+
+def _refuse_first_bad_row(lines: list[str], first: int, width: int) -> None:
+    """Raise for the first ragged row or unreadable cell, numbered from ``first``."""
+    for r, line in enumerate(lines, start=first):
         cells = line.split(",")
         if len(cells) != width:
             raise BidMatrixParseError(
                 f"row {r} has {len(cells)} entries, expected {width}"
             )
+        for c, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                raise BidMatrixParseError(
+                    f"row {r}, column {c}: cannot parse {cell.strip()!r} as a number"
+                ) from None
+
+
+def parse_bid_matrix(text: str) -> BidMatrix:
+    """Parse headerless CSV (one row per terminal) into a bid matrix.
+
+    Blank lines are skipped. Each block of up to 1,024 rows, if every
+    row has the first row's width, fills its part of one array through one
+    flat ``float()`` pass; else its first ragged row or unreadable cell is
+    reported. Then :class:`BidMatrix` names the first value it refuses.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise BidMatrixParseError("bid matrix file is empty")
+    width = lines[0].count(",") + 1
+    values = np.empty((len(lines), width))
+    cells = values.reshape(-1)  # a view: each block fills its rows
+    for start in range(0, len(lines), _BLOCK_ROWS):
+        block = lines[start:start + _BLOCK_ROWS]
         try:
-            rows.append(list(map(float, cells)))
-        except ValueError:  # find the cell float() refused
-            for c, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise BidMatrixParseError(
-                        f"row {r}, column {c}: cannot parse {cell.strip()!r} "
-                        f"as a number"
-                    ) from None
+            if all(line.count(",") == width - 1 for line in block):
+                row_cells = ",".join(block).split(",")
+                cells[start * width:start * width + len(row_cells)] = np.fromiter(
+                    map(float, row_cells), float, len(row_cells)
+                )
+                continue
+        except ValueError:  # a cell float() refuses
+            pass
+        _refuse_first_bad_row(block, start + 1, width)
     try:
-        return BidMatrix(rows)
+        if values.min() >= 0:  # also refuses NaN; _trusted checks the largest bid
+            return BidMatrix._trusted(values)
+        return BidMatrix(values)  # raises, naming the first refused cell
     except ValueError as exc:  # a negative, non-finite or oversized bid
         raise BidMatrixParseError(str(exc)) from None
 
@@ -118,12 +137,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         outcome = None
         winners = determine_winners(bids)
 
-    for i, j in sorted(winners.pairs):
-        print(f"{i},{j},{bids.bid(i, j):.6f}")
-    print(f"total,{winners.total_cost:.6f}")
+    pairs = sorted(winners.pairs)  # the solver's, so in bounds
+    lines = [f"{i},{j},{float(bids.values[i - 1, j - 1]):.6f}" for i, j in pairs]
+    lines.append(f"total,{winners.total_cost:.6f}")
     if outcome is not None:
-        for i, j in sorted(winners.pairs):
-            print(f"payment,{i},{j},{outcome.payments[(i, j)]:.6f}")
+        lines += [f"payment,{i},{j},{outcome.payments[i, j]:.6f}" for i, j in pairs]
+    print("\n".join(lines))
     return 0
 
 

@@ -11,7 +11,8 @@ Public constructors check every input. A private ``_trusted`` adopts what
 the package built from checked input, uncopied and unchecked: bids clamped
 from a checked draw (``run_experiment``), bids from :func:`compute_bid`
 (``build_bid_matrix``), bids with one checked row swapped in
-(``utility_of_report``), the solver's and greedy's matchings, and
+(``utility_of_report``), parsed bids whose minimum is checked
+(``parse_bid_matrix``), the solver's and greedy's matchings, and
 ``run_auction``'s payments. ``BidMatrix._trusted`` still checks the largest
 bid, deferring past the size limit to the public constructor.
 """
@@ -100,6 +101,10 @@ class UserTerminal:
         object.__setattr__(self, "id", _whole("terminal id", self.id))
         if self.id < 1:
             raise ConfigurationError(f"terminal id must be >= 1, got {self.id}")
+        if not hasattr(self.demand, "items"):
+            raise ConfigurationError(
+                f"terminal {self.id}: demand must be a mapping, got {self.demand!r}"
+            )
         demand = {}
         for epoch, given in self.demand.items():
             epoch, rate = _whole("demand epoch", epoch), _number(given)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamauction import (
@@ -206,7 +206,7 @@ class TestSolverAgainstOracle:
             assert abs(got.total_cost - want.total_cost) <= 1e-9
 
     def test_pairs_match_exactly_on_tie_heavy_instances(self):
-        # The continuous draws mostly take the forced-optimum return.
+        # The continuous draws mostly skip the tie-break.
         rng = seeded_rng(102)
         for draw in (draw_tie_heavy_bids, draw_bids):
             for _ in range(300):
@@ -383,6 +383,18 @@ class TestKernelContract:
             if kind == 2:
                 bids[rng.random((m, n)) < 0.35] = np.inf
             cases.append(bids)
+        # Short-side rows that share their cheapest column (a line of zeros),
+        # so the row-minimum start leaves all but one of them to the
+        # searches; every third draw also forbids one short-side row.
+        shared = seeded_rng(116)
+        for case in range(600):
+            m, n = int(shared.integers(1, 9)), int(shared.integers(1, 9))
+            bids = (draw_bids if case % 2 else draw_tie_heavy_bids)(shared, m, n)
+            by_short_row = bids.T if m >= n else bids  # a view: writes reach bids
+            by_short_row[:, int(shared.integers(by_short_row.shape[1]))] = 0.0
+            if case % 3 == 0:
+                by_short_row[int(shared.integers(by_short_row.shape[0]))] = np.inf
+            cases.append(bids)
         restarts = 0
         for bids in cases:
             m, n = bids.shape
@@ -411,6 +423,83 @@ class TestKernelContract:
         result = solve_rectangular_forbidden([[10, 1], [5, 5]], [(2, 1), (2, 2)])
         assert result.pairs == ((1, 2),)
         assert result.total_cost == 1.0
+
+
+BID_CLASSES = [
+    st.floats(0.0, 150.0),  # continuous
+    st.integers(50, 150).map(lambda demand: 150.0 - demand),  # whole Mbps
+    st.integers(0, 3).map(float),
+    st.integers(0, 8).map(lambda k: k / 3),  # thirds
+]
+
+
+@st.composite
+def bids_and_forbidden_cells(draw):
+    """A bid matrix of either orientation from one value class, and 1-based
+    forbidden pairs."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = draw(st.sampled_from(BID_CLASSES))
+    bids = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    pair = st.tuples(st.integers(1, m), st.integers(1, n))
+    return bids, draw(st.sets(pair, max_size=m * n // 3))
+
+
+def kernel_and_tie_break(bids, forbidden):
+    """The kernel's matching and ``_lex_min_matching``'s result on the tight
+    graph and masks ``_solve`` builds from it, as terminal per beam."""
+    from beamauction.assignment import _lex_min_matching
+
+    m, n = bids.shape
+    cost = bids.copy()
+    for i, j in forbidden:
+        cost[i - 1, j - 1] = np.inf
+    flip = m >= n
+    short = np.ascontiguousarray(cost.T) if flip else cost
+    col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
+    term_of = col4row if flip else row4col
+    size = int((col4row >= 0).sum())
+    eps = (2 * size + 2) * math.ulp(max(bids.max(), u.max(), -v.min()))
+    tight = short - u[:, None] - v <= eps
+    optional_short = u >= level - eps if size < len(short) else np.zeros(len(u), bool)
+    optional_long = v >= -eps
+    if flip:
+        tight, optional_t, optional_b = tight.T, optional_long, optional_short
+    else:
+        optional_t, optional_b = optional_short, optional_long
+    canonical = _lex_min_matching(bids, tight, term_of, optional_t, optional_b)
+    return term_of.tolist(), canonical
+
+
+class TestTieBreakSkip:
+    """``_solve`` skips the tie-break only where it would change nothing."""
+
+    @given(bids_and_forbidden_cells())
+    # The kernel leaves beam 2 unserved although it is tight to terminal 1,
+    # which the tie-break hands it from beam 4: a rule that looks only at
+    # served beams would skip the tie-break here.
+    @example((np.array([[2.0, 1, 2, 0], [1, 1, 2, 0], [2, 2, 1, 0]]), set()))
+    @settings(max_examples=400, deadline=None)
+    def test_a_skipped_tie_break_keeps_the_kernels_matching(self, case):
+        from beamauction import assignment
+
+        bids, forbidden = case
+        tie_break, calls = assignment._lex_min_matching, []
+
+        def counted(*args):
+            calls.append(args)
+            return tie_break(*args)
+
+        assignment._lex_min_matching = counted
+        try:
+            got = solve_rectangular_forbidden(bids, forbidden)
+        finally:
+            assignment._lex_min_matching = tie_break
+        if calls:
+            return
+        kernel, canonical = kernel_and_tie_break(bids, forbidden)
+        assert canonical == kernel
+        pairs = tuple((i + 1, j + 1) for j, i in enumerate(kernel) if i >= 0)
+        assert got.pairs == pairs
 
 
 class TestBidScale:

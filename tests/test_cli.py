@@ -111,6 +111,65 @@ class TestParseBidMatrix:
             assert not isinstance(expected, str), expected
             assert got.values.tobytes() == expected.tobytes()
 
+    def test_blocks_read_what_a_per_cell_loop_reads(self):
+        rng = seeded_rng(402)
+        rows = 2 * cli._BLOCK_ROWS + 7
+        pool = GOOD_CELLS + [repr(float(x)) for x in draw_bids(rng, 1, 50)[0]]
+        lines = [",".join(rng.choice(pool, 5)) for _ in range(rows)]
+        for k in rng.choice(rows, 40, replace=False):  # blank lines shift no row
+            lines[k] = "  \n" + lines[k]
+        text = "\r\n".join(lines) + "\r\n"
+        assert cli._BLOCK_ROWS < rows
+        expected = per_cell_parse(text)
+        assert expected.shape == (rows, 5)
+        assert parse_bid_matrix(text).values.tobytes() == expected.tobytes()
+
+    def test_errors_keep_their_precedence_across_blocks(self):
+        block = cli._BLOCK_ROWS
+        lines = ["1,2,3,4,5,6,7,8"] * (2 * block)
+
+        def error(edits):
+            edited = lines.copy()
+            for r, line in edits.items():
+                edited[r - 1] = line
+            with pytest.raises(BidMatrixParseError) as raised:
+                parse_bid_matrix("\n".join(edited))
+            return str(raised.value)
+
+        # A bad cell in block 1 before a ragged row in block 2.
+        got = error({10: "1,2,x,4,5,6,7,8", block + 5: "1,2"})
+        assert got == "row 10, column 3: cannot parse 'x' as a number"
+        # A bad cell in block 2 before a negative bid in block 1.
+        got = error({5: "1,-2,3,4,5,6,7,8", block + 100: "1,2,3,4,5,6,7,y"})
+        assert got == f"row {block + 100}, column 8: cannot parse 'y' as a number"
+        assert error({5: "1,-2,3,4,5,6,7,8"}) == (
+            "bid matrix entries must be non-negative; row 5, column 2 holds -2.0"
+        )
+        # Two ragged rows whose cells add up to two full rows: the first is named.
+        for r in (3, block + 3):
+            got = error({r: "1,2,3,4,5,6,7", r + 1: "1,2,3,4,5,6,7,8,9"})
+            assert got == f"row {r} has 7 entries, expected 8"
+
+    def test_blank_lines_crlf_and_a_byte_order_mark_across_blocks(
+        self, tmp_path, capsys
+    ):
+        rows = cli._BLOCK_ROWS + 300
+        bids = draw_tie_heavy_bids(seeded_rng(403), rows, 3)
+        plain = format_bid_matrix(as_bid_matrix(bids))
+        assert main(["solve", write(tmp_path, "plain.csv", plain)]) == 0
+        expected = capsys.readouterr().out
+        lines = plain.splitlines()
+        lines[cli._BLOCK_ROWS - 1] += "\r\n\r\n   "  # blank lines at the boundary
+        dressed = tmp_path / "dressed.csv"
+        dressed.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
+        assert main(["solve", str(dressed)]) == 0
+        assert capsys.readouterr().out == expected
+        # Blank lines are not rows: row numbers count the rows that hold bids.
+        lines[rows - 1] = "1,z,1"
+        dressed.write_bytes("\r\n".join(lines).encode())
+        assert main(["solve", str(dressed)]) == 1
+        assert f"row {rows}, column 2: cannot parse 'z'" in capsys.readouterr().err
+
     def test_round_trip_is_exact(self):
         rng = seeded_rng(401)
         bids = as_bid_matrix(draw_bids(rng, 5, 3))

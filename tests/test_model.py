@@ -224,6 +224,12 @@ class TestTerminalAndBeam:
         assert terminal.demand == {2: 2.0, 3: 3.0}
         assert all(type(epoch) is int for epoch in terminal.demand)
 
+    def test_terminal_rejects_demand_that_is_not_a_mapping(self):
+        for given in (None, [1, 2]):
+            message = f"terminal 1: demand must be a mapping, got {given!r}"
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                UserTerminal(1, given)
+
     def test_terminal_rejects_bad_id(self):
         with pytest.raises(ConfigurationError):
             UserTerminal(id=0, demand={1: 1.0})
