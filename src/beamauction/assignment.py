@@ -75,7 +75,7 @@ def default_dummy_cost(bids: BidMatrix | np.ndarray | Sequence) -> float:
 
 def _shortest_augmenting_paths(
     cost: np.ndarray, max_cardinality: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray, float]:
     """Cheapest matching of an n x m matrix, n <= m, of the largest size.
 
     Rows are the short side; ``+inf`` marks a forbidden pair. Each row in
@@ -91,18 +91,19 @@ def _shortest_augmenting_paths(
     each is one row scan: starting every search from all free rows made
     this kernel about 4x slower on a 40 x 8 matrix and 40x on 10000 x 32.
 
-    Returns ``(col4row, row4col, u, v, level)``: the matching (-1 where
-    unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
+    Returns ``(col4row, row4col, u, v, level)``: the matching as lists (-1
+    where unmatched) and dual potentials with ``u[i] + v[j] <= cost[i, j]``,
     equality on matched pairs, ``v <= 0`` exactly, even after rounding,
     with ``v == 0`` on free columns and, only when the restart left rows
     free, ``u <= level`` with equality on those rows.
     """
     n, m = cost.shape
-    u = np.zeros(n)
     v = np.zeros(m)
     col4row = [-1] * n
     row4col = [-1] * m
-    if not max_cardinality:  # each row takes its cheapest column while it is free
+    if max_cardinality:
+        u = np.zeros(n)
+    else:  # each row takes its cheapest column while it is free
         best = cost.argmin(axis=1)
         u = cost[np.arange(n), best]
         for i, (j, low) in enumerate(zip(best.tolist(), u.tolist())):
@@ -131,7 +132,7 @@ def _shortest_augmenting_paths(
                 if not max_cardinality:
                     return _shortest_augmenting_paths(cost, max_cardinality=True)
                 u[free_rows] = level
-                return np.array(col4row), np.array(row4col), u, v, level
+                return col4row, row4col, u, v, level
             i = row4col[j]
             if i < 0:
                 break
@@ -165,7 +166,7 @@ def _shortest_augmenting_paths(
             u[i] = level
         else:
             u[i] = delta
-    return np.array(col4row), np.array(row4col), u, v, level
+    return col4row, row4col, u, v, level
 
 
 def _resum(values: np.ndarray, term: Sequence[int]) -> float:
@@ -176,7 +177,7 @@ def _resum(values: np.ndarray, term: Sequence[int]) -> float:
 def _lex_min_matching(
     values: np.ndarray,
     tight: np.ndarray,
-    term_of: np.ndarray,
+    term_of: list[int],
     optional_t: np.ndarray,
     optional_b: np.ndarray,
 ) -> list[int]:
@@ -199,10 +200,10 @@ def _lex_min_matching(
     merges free beams into one node when terminals are the short side.
     """
     m, n = tight.shape
-    term = term_of.tolist()
+    term = term_of.copy()
     holder = np.full(m, -1)
-    holder[term_of[term_of >= 0]] = (term_of >= 0).nonzero()[0]
-    optional_t, optional_b = optional_t.tolist(), optional_b.nonzero()[0].tolist()
+    holder[[t for t in term if t >= 0]] = [j for j, t in enumerate(term) if t >= 0]
+    optional_b = optional_b.nonzero()[0].tolist()
     fixed_t: set[int] = set()
     total = _resum(values, term)
 
@@ -296,22 +297,24 @@ def _solve(
     flip = m >= n  # search from the beams when they are the short side
     short = np.ascontiguousarray(cost.T) if flip else cost
     col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
-    term_of = col4row if flip else row4col
+    term = col4row if flip else row4col
 
-    size = int((col4row >= 0).sum())
+    size = n - term.count(-1)
     # Each potential moves once per augmentation, by a difference of
     # values no larger than ``scale``; this bounds their rounding.
-    scale = max(bids.max_bid, float(u.max()), -float(v.min()))  # u >= 0 >= v
+    scale = max(bids.max_bid, max(u.tolist()), -float(v.min()))  # u >= 0 >= v
     eps = (2 * size + 2) * math.ulp(scale)
     reduced = short - u[:, None]
     reduced -= v
     tight = reduced <= eps
     by_beam = tight.T if flip else tight
-    first = by_beam.argmax(axis=0)  # each beam's first tight terminal, else 0
-    own = np.where(term_of >= 0, term_of, m)  # an unserved beam ranks last
-    if not (by_beam[first, np.arange(n)] & (first < own)).any():
-        term = term_of.tolist()  # no beam has a candidate: the tie-break keeps it
-    else:
+    first = by_beam.argmax(axis=0).tolist()  # each beam's first tight terminal, else 0
+    # A candidate is a tight terminal below the beam's own; an unserved beam
+    # ranks last. With none, the tie-break would keep the kernel's matching.
+    if any(
+        (t < own or own < 0) and by_beam[t, j]
+        for j, (t, own) in enumerate(zip(first, term))
+    ):
         optional_short = (
             u >= level - eps if size < short.shape[0] else np.zeros_like(u, dtype=bool)
         )
@@ -320,7 +323,7 @@ def _solve(
             tight, optional_t, optional_b = tight.T, optional_long, optional_short
         else:
             optional_t, optional_b = optional_short, optional_long
-        term = _lex_min_matching(values, tight, term_of, optional_t, optional_b)
+        term = _lex_min_matching(values, tight, term, optional_t, optional_b)
     return _Solved(term, reduced, v, flip, short)
 
 

@@ -5,6 +5,12 @@ handed to the still-unassigned terminal with the smallest bid for it.
 Locally optimal, globally not: the optimal assignment never totals more,
 and strictly less on instances where an early beam steals the terminal a
 later beam needed.
+
+Argmin-first: one ``argmin`` over the bid matrix gives each beam's first
+minimum (smallest terminal id among its cheapest), which a beam takes if
+it is free. Only a beam whose first minimum is taken scans its column
+again, with +inf added at every taken terminal; that only raises bids, so
+both scans pick the same first minimum among the free terminals.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ def greedy_allocate(
     reused; when terminals run out the remaining beams stay unserved.
     """
     bids = as_bid_matrix(bids)
-    m, n = bids.values.shape
+    values = bids.values
+    m, n = values.shape
     entries = None if isinstance(beam_order, str | bytes) else beam_order
     try:  # text would give one beam per character, so it is not iterated
         order = [_whole("beam_order entry", j) for j in entries]
@@ -38,15 +45,16 @@ def greedy_allocate(
     if type(order) is not list or sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order!r}")
 
-    # One row per served beam, in order; a taken terminal's column is +inf,
-    # and argmin's first minimum is the smallest terminal id.
-    remaining = bids.values.T[[j - 1 for j in order[:m]]]
-    pairs: list[tuple[int, int]] = []
-    costs: list[float] = []
-    for j, row in zip(order, remaining):
-        i = int(row.argmin())
-        costs.append(row[i])
-        remaining[:, i] = np.inf
-        pairs.append((i + 1, j))
-    pairs.sort(key=lambda pair: pair[1])
-    return Assignment._trusted(tuple(pairs), math.fsum(costs))
+    first = values.argmin(axis=0).tolist()
+    taken = np.zeros(m)  # +inf at each taken terminal
+    served = [j - 1 for j in order[:m]]
+    terms, costs = [], []
+    for j in served:
+        i = first[j]
+        if taken[i]:
+            i = int((values[:, j] + taken).argmin())
+        taken[i] = np.inf
+        terms.append(i)
+        costs.append(values[i, j])
+    pairs = tuple((i + 1, j + 1) for j, i in sorted(zip(served, terms)))
+    return Assignment._trusted(pairs, math.fsum(costs))

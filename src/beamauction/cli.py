@@ -210,7 +210,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 
-    report = run_experiment(config)
+    try:  # a bid past the size limit is refused only once it is drawn
+        report = run_experiment(config)
+    except ValueError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 1
     try:
         report.write_csv(args.out)
     except OSError as exc:

@@ -185,19 +185,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     optimum never exceeds greedy per instance, so neither do the means.
     """
     counts, reps = config.beam_counts, config.replications
-    vcg_avg, greedy_avg = np.empty((len(counts), reps)), np.empty((len(counts), reps))
-    for k, n_beams in enumerate(counts):
+    vcg_avg, greedy_avg = [], []
+    for n_beams in counts:
         order = range(1, n_beams + 1)
         for rep in range(reps):
             seed = _replication_seed(config.rng_seed, n_beams, rep)
-            demand = _draw_demands(config.n_terminals, n_beams, config.demand_low,
-                                   config.demand_high, seed)
-            # ExperimentConfig checked the bounds: every bid is in [0, capacity].
-            bids = BidMatrix._trusted(np.maximum(0.0, config.capacity - demand))
-            vcg_avg[k, rep] = determine_winners(bids).total_cost / n_beams
-            greedy_avg[k, rep] = greedy_allocate(bids, order).total_cost / n_beams
-    # One pass per statistic over all rows gives each row's own mean and std.
-    stats = zip(counts, vcg_avg.mean(axis=1).tolist(), vcg_avg.std(axis=1).tolist(),
-                greedy_avg.mean(axis=1).tolist(), greedy_avg.std(axis=1).tolist())
+            bids = _draw_demands(config.n_terminals, n_beams, config.demand_low,
+                                 config.demand_high, seed)
+            # max(0, capacity - demand), in the draw's own array. The bounds keep
+            # bids finite and >= 0; _trusted checks the largest against the size limit.
+            np.subtract(config.capacity, bids, out=bids)
+            bids = BidMatrix._trusted(np.maximum(0.0, bids, out=bids))
+            vcg_avg.append(determine_winners(bids).total_cost / n_beams)
+            greedy_avg.append(greedy_allocate(bids, order).total_cost / n_beams)
+    # One mean and one std over every (mechanism, beam count) row.
+    avg = np.array([vcg_avg, greedy_avg]).reshape(2, len(counts), reps)
+    means, stds = avg.mean(axis=2).tolist(), avg.std(axis=2).tolist()
+    stats = zip(counts, means[0], stds[0], means[1], stds[1])
     rows = tuple(ExperimentRow(*row, reps) for row in stats)
     return ExperimentReport(config=config, rows=rows)

@@ -6,6 +6,7 @@ against the oracle on random instances, including tie-heavy integer
 matrices where the lexicographic tie-break does real work.
 """
 
+import contextlib
 import hashlib
 import math
 import re
@@ -400,6 +401,7 @@ class TestKernelContract:
             m, n = bids.shape
             short = np.ascontiguousarray(bids.T) if m >= n else bids
             col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
+            col4row, row4col = np.array(col4row), np.array(row4col)
             # The tolerance ``_solve`` judges tightness with.
             size = int((col4row >= 0).sum())
             finite = np.isfinite(short)
@@ -444,11 +446,9 @@ def bids_and_forbidden_cells(draw):
     return bids, draw(st.sets(pair, max_size=m * n // 3))
 
 
-def kernel_and_tie_break(bids, forbidden):
-    """The kernel's matching and ``_lex_min_matching``'s result on the tight
-    graph and masks ``_solve`` builds from it, as terminal per beam."""
-    from beamauction.assignment import _lex_min_matching
-
+def kernel_tight_graph(bids, forbidden):
+    """The kernel's matching as terminal per beam, and the M x N tight graph
+    and optional-vertex masks ``_solve`` builds from its potentials."""
     m, n = bids.shape
     cost = bids.copy()
     for i, j in forbidden:
@@ -457,49 +457,93 @@ def kernel_and_tie_break(bids, forbidden):
     short = np.ascontiguousarray(cost.T) if flip else cost
     col4row, row4col, u, v, level = _shortest_augmenting_paths(short)
     term_of = col4row if flip else row4col
-    size = int((col4row >= 0).sum())
+    size = n - term_of.count(-1)
     eps = (2 * size + 2) * math.ulp(max(bids.max(), u.max(), -v.min()))
     tight = short - u[:, None] - v <= eps
     optional_short = u >= level - eps if size < len(short) else np.zeros(len(u), bool)
     optional_long = v >= -eps
     if flip:
-        tight, optional_t, optional_b = tight.T, optional_long, optional_short
-    else:
-        optional_t, optional_b = optional_short, optional_long
+        return term_of, tight.T, optional_long, optional_short
+    return term_of, tight, optional_short, optional_long
+
+
+def kernel_and_tie_break(bids, forbidden):
+    """The kernel's matching and ``_lex_min_matching``'s result on the tight
+    graph and masks ``_solve`` builds from it, as terminal per beam."""
+    from beamauction.assignment import _lex_min_matching
+
+    term_of, tight, optional_t, optional_b = kernel_tight_graph(bids, forbidden)
     canonical = _lex_min_matching(bids, tight, term_of, optional_t, optional_b)
-    return term_of.tolist(), canonical
+    return term_of, canonical
+
+
+@contextlib.contextmanager
+def counted_tie_breaks():
+    """Yield the list of argument tuples of every ``_lex_min_matching`` call."""
+    from beamauction import assignment
+
+    tie_break, calls = assignment._lex_min_matching, []
+
+    def counted(*args):
+        calls.append(args)
+        return tie_break(*args)
+
+    assignment._lex_min_matching = counted
+    try:
+        yield calls
+    finally:
+        assignment._lex_min_matching = tie_break
+
+
+# The kernel leaves beam 2 unserved although it is tight to terminal 1,
+# which the tie-break hands it from beam 4: a rule that looks only at
+# served beams would skip the tie-break here.
+UNSERVED_CANDIDATE = (np.array([[2.0, 1, 2, 0], [1, 1, 2, 0], [2, 2, 1, 0]]), set())
 
 
 class TestTieBreakSkip:
     """``_solve`` skips the tie-break only where it would change nothing."""
 
     @given(bids_and_forbidden_cells())
-    # The kernel leaves beam 2 unserved although it is tight to terminal 1,
-    # which the tie-break hands it from beam 4: a rule that looks only at
-    # served beams would skip the tie-break here.
-    @example((np.array([[2.0, 1, 2, 0], [1, 1, 2, 0], [2, 2, 1, 0]]), set()))
+    @example(UNSERVED_CANDIDATE)
     @settings(max_examples=400, deadline=None)
     def test_a_skipped_tie_break_keeps_the_kernels_matching(self, case):
-        from beamauction import assignment
-
         bids, forbidden = case
-        tie_break, calls = assignment._lex_min_matching, []
-
-        def counted(*args):
-            calls.append(args)
-            return tie_break(*args)
-
-        assignment._lex_min_matching = counted
-        try:
+        with counted_tie_breaks() as calls:
             got = solve_rectangular_forbidden(bids, forbidden)
-        finally:
-            assignment._lex_min_matching = tie_break
         if calls:
             return
         kernel, canonical = kernel_and_tie_break(bids, forbidden)
         assert canonical == kernel
         pairs = tuple((i + 1, j + 1) for j, i in enumerate(kernel) if i >= 0)
         assert got.pairs == pairs
+
+    @given(bids_and_forbidden_cells())
+    @example(UNSERVED_CANDIDATE)
+    @settings(max_examples=400, deadline=None)
+    def test_the_tie_break_runs_exactly_when_a_beam_has_a_candidate(self, case):
+        # The rule: some beam has a tight terminal below its own, or any
+        # tight terminal if it is unserved. Read straight off the tight
+        # graph here, so a skip check that is looser or more conservative
+        # than the rule fails.
+        bids, forbidden = case
+        with counted_tie_breaks() as calls:
+            solve_rectangular_forbidden(bids, forbidden)
+        term_of, tight, _, _ = kernel_tight_graph(bids, forbidden)
+        m = len(tight)
+        candidate = any(
+            tight[: own if own >= 0 else m, j].any() for j, own in enumerate(term_of)
+        )
+        assert len(calls) == candidate
+
+    def test_the_default_sweep_runs_at_most_131_tie_breaks(self):
+        # 700 solves of 30 terminals by 2..8 beams; the rule above runs the
+        # tie-break on 131 of them, and a more conservative check runs more.
+        from beamauction import ExperimentConfig, run_experiment
+
+        with counted_tie_breaks() as calls:
+            run_experiment(ExperimentConfig())
+        assert 0 < len(calls) <= 131
 
 
 class TestBidScale:

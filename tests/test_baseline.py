@@ -79,6 +79,21 @@ class TestGreedyAllocate:
             assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
             assert len(greedy) == min(m, n)
 
+    def test_matches_the_reference_scan_when_one_terminal_is_every_beams_cheapest(self):
+        # A shared zero row is every beam's first minimum, so each beam after
+        # the first finds it taken and scans again; ties make that scan pick
+        # among equal bids, and N > M leaves the last beams unserved.
+        rng = seeded_rng(303)
+        for case in range(600):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            draw = draw_tie_heavy_bids if case % 2 else draw_bids
+            bids = draw(rng, m, n) + 1.0
+            bids[int(rng.integers(m))] = 0.0
+            order = [int(j) for j in rng.permutation(n) + 1]
+            greedy = greedy_allocate(bids, order)
+            assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
+            assert len(greedy) == min(m, n)
+
     def test_rejects_non_permutation_order(self):
         with pytest.raises(ValueError, match="permutation"):
             greedy_allocate([[1.0, 2.0]], [1, 1])

@@ -405,6 +405,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bids_above_the_size_limit_exit_nonzero(self, tmp_path, capsys):
+        # ExperimentConfig accepts these bounds; the drawn bids then exceed
+        # the bid matrix's size limit, and the located message is printed.
+        out = tmp_path / "r.csv"
+        args = ["simulate", "--reps", "2", "--capacity", "1e308", "--demand", "0,1e308"]
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: invalid configuration: bid matrix entries must be finite and "
+            "<= 2.9961552247705263e+307; row 1, column 1 holds "
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_settings_exit_nonzero(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
         assert main(["simulate", "--reps", "0", "--out", out]) == 1
