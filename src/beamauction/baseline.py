@@ -6,11 +6,13 @@ Locally optimal, globally not: the optimal assignment never totals more,
 and strictly less on instances where an early beam steals the terminal a
 later beam needed.
 
-Argmin-first: one ``argmin`` over the bid matrix gives each beam's first
-minimum (smallest terminal id among its cheapest), which a beam takes if
-it is free. Only a beam whose first minimum is taken scans its column
-again, with +inf added at every taken terminal; that only raises bids, so
-both scans pick the same first minimum among the free terminals.
+Argmin-first: one ``argmin`` over the served beams' columns gives each
+served beam's first minimum (smallest terminal id among its cheapest),
+which the beam takes if it is free; on a wide matrix most beams go
+unserved, so their columns are not scanned. Only a beam whose first
+minimum is taken scans its column again, with +inf added at every taken
+terminal; that only raises bids, so both scans pick the same first
+minimum among the free terminals.
 """
 
 from __future__ import annotations
@@ -45,9 +47,24 @@ def greedy_allocate(
     if type(order) is not list or sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order!r}")
 
-    first = values.argmin(axis=0).tolist()
-    taken = np.zeros(m)  # +inf at each taken terminal
     served = [j - 1 for j in order[:m]]
+    terms, costs = _greedy(values, served)
+    pairs = tuple((i + 1, j + 1) for j, i in sorted(zip(served, terms)))
+    return Assignment._trusted(pairs, math.fsum(costs))
+
+
+def _greedy(values: np.ndarray, served: list[int]) -> tuple[list[int], list]:
+    """The 0-based terminal each of the ``served`` columns takes, in that
+    order, and its bid.
+
+    ``served`` lists distinct 0-based columns, no more than there are
+    terminals, in the order the beams are offered.
+    """
+    if len(served) < values.shape[1]:  # wide: scan only the served columns
+        first = dict(zip(served, values[:, served].argmin(axis=0).tolist()))
+    else:
+        first = values.argmin(axis=0).tolist()
+    taken = np.zeros(values.shape[0])  # +inf at each taken terminal
     terms, costs = [], []
     for j in served:
         i = first[j]
@@ -56,5 +73,4 @@ def greedy_allocate(
         taken[i] = np.inf
         terms.append(i)
         costs.append(values[i, j])
-    pairs = tuple((i + 1, j + 1) for j, i in sorted(zip(served, terms)))
-    return Assignment._trusted(pairs, math.fsum(costs))
+    return terms, costs

@@ -2,10 +2,15 @@
 
 Each replication draws a fresh demand array from a generator state
 derived from (base seed, beam count, replication index), so results are
-reproducible bit-for-bit and independent of execution order. The swept
+reproducible bit-for-bit and independent of execution order. The state
+is ``SeedSequence((base seed, beam count, replication))``'s first 64
+bits, which seed the draw as the int they form; the sweep feeds both
+``SeedSequence``s the 32-bit words numpy reads from those ints, so the
+streams are the same without numpy's per-call int conversion. The swept
 quantity is the average winning bid per beam: assignment total divided
 by the number of beams. The sweep builds each bid matrix straight from
-that draw; :func:`generate_scenario` wraps it into the public and demo
+that draw and reads only the two totals from the mechanisms' cores;
+:func:`generate_scenario` wraps the draw into the public and demo
 :class:`Scenario`.
 """
 
@@ -17,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import determine_winners
-from .baseline import greedy_allocate
+from .assignment import _resum, _solve
+from .baseline import _greedy
 from .model import (
     BidMatrix,
     ConfigurationError,
@@ -166,14 +171,37 @@ def generate_scenario(
 
 
 def _draw_demands(n_terminals, n_beams, demand_low, demand_high, seed) -> np.ndarray:
-    """The (M, N) uniform demand draw behind every scenario and replication."""
+    """The (M, N) uniform demand draw behind every scenario and replication.
+
+    ``seed`` is an int or its 32-bit words, low word first; both give the
+    same generator.
+    """
     rng = np.random.default_rng(seed)
     return rng.uniform(demand_low, demand_high, size=(n_terminals, n_beams))
 
 
-def _replication_seed(base_seed: int, n_beams: int, replication: int) -> int:
-    seq = np.random.SeedSequence((base_seed, n_beams, replication))
-    return int(seq.generate_state(1, np.uint64)[0])
+def _words(n: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` reads from a whole number ``n >= 0``,
+    low word first; ``[0]`` for 0."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _replication_seed(base: list[int], n_beams: int, replication: int) -> np.ndarray:
+    """The generator state of one replication, as two 32-bit words.
+
+    ``base`` is ``_words(base seed)``. ``SeedSequence`` reads the tuple
+    (base seed, ``n_beams``, ``replication``) as its ints' words end to
+    end, so this array gives the tuple's state. The words are the low and
+    high halves of its first 64 bits. A zero high word seeds the draw as
+    the int below 2**32 does, because ``SeedSequence`` pads its entropy
+    with zero words up to its four-word pool.
+    """
+    words = base + _words(n_beams) + _words(replication)
+    seq = np.random.SeedSequence(np.array(words, np.uint32))
+    return seq.generate_state(2, np.uint32)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -185,19 +213,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     optimum never exceeds greedy per instance, so neither do the means.
     """
     counts, reps = config.beam_counts, config.replications
+    base = _words(config.rng_seed)
     vcg_avg, greedy_avg = [], []
     for n_beams in counts:
-        order = range(1, n_beams + 1)
+        served = list(range(n_beams))  # availability order 1..N, every beam served
         for rep in range(reps):
-            seed = _replication_seed(config.rng_seed, n_beams, rep)
+            seed = _replication_seed(base, n_beams, rep)
             bids = _draw_demands(config.n_terminals, n_beams, config.demand_low,
                                  config.demand_high, seed)
             # max(0, capacity - demand), in the draw's own array. The bounds keep
             # bids finite and >= 0; _trusted checks the largest against the size limit.
             np.subtract(config.capacity, bids, out=bids)
             bids = BidMatrix._trusted(np.maximum(0.0, bids, out=bids))
-            vcg_avg.append(determine_winners(bids).total_cost / n_beams)
-            greedy_avg.append(greedy_allocate(bids, order).total_cost / n_beams)
+            # The totals determine_winners and greedy_allocate report, from their cores.
+            vcg_avg.append(_resum(bids.values, _solve(bids).term) / n_beams)
+            greedy_avg.append(math.fsum(_greedy(bids.values, served)[1]) / n_beams)
     # One mean and one std over every (mechanism, beam count) row.
     avg = np.array([vcg_avg, greedy_avg]).reshape(2, len(counts), reps)
     means, stds = avg.mean(axis=2).tolist(), avg.std(axis=2).tolist()

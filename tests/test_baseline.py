@@ -94,6 +94,20 @@ class TestGreedyAllocate:
             assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
             assert len(greedy) == min(m, n)
 
+    def test_matches_the_reference_scan_on_wide_matrices(self):
+        # N >> M: only the first M beams in the order are served, and only
+        # their columns are scanned; a shared zero row forces rescans.
+        rng = seeded_rng(304)
+        for case in range(20):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(50, 2000))
+            bids = draw_tie_heavy_bids(rng, m, n) + 1.0
+            if case % 2:
+                bids[int(rng.integers(m))] = 0.0
+            order = [int(j) for j in rng.permutation(n) + 1]
+            greedy = greedy_allocate(bids, order)
+            assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
+            assert len(greedy) == m
+
     def test_rejects_non_permutation_order(self):
         with pytest.raises(ValueError, match="permutation"):
             greedy_allocate([[1.0, 2.0]], [1, 1])

@@ -16,7 +16,7 @@ from beamauction import (
     greedy_allocate,
     run_experiment,
 )
-from beamauction.sim import REPORT_HEADER, _draw_demands, _replication_seed
+from beamauction.sim import REPORT_HEADER, _draw_demands, _replication_seed, _words
 
 DRAW_FIELDS = ("capacity", "demand_low", "demand_high")
 
@@ -257,9 +257,34 @@ class TestRunExperiment:
             assert srow.greedy_mean == pytest.approx(3.0 * row.greedy_mean, rel=1e-9)
 
 
+def _tuple_route_seed(base_seed, n_beams, rep):
+    """A replication's int seed as numpy derives it from the tuple itself."""
+    seq = np.random.SeedSequence((base_seed, n_beams, rep))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("base_seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("n_beams", [1, 8])
+@pytest.mark.parametrize("rep", [0, 1])
+def test_word_seeding_draws_the_tuple_route(base_seed, n_beams, rep):
+    words = _replication_seed(_words(base_seed), n_beams, rep)
+    tuple_seed = _tuple_route_seed(base_seed, n_beams, rep)
+    assert words.tolist() == [tuple_seed & 0xFFFFFFFF, tuple_seed >> 32]
+    by_words = _draw_demands(30, n_beams, 50.0, 150.0, words)
+    assert (by_words == _draw_demands(30, n_beams, 50.0, 150.0, tuple_seed)).all()
+
+
+@pytest.mark.parametrize("state", [0, 1, 2**32 - 1])
+def test_a_zero_high_word_seeds_as_its_int(state):
+    # _replication_seed always returns two words; an int below 2**32 reads as one.
+    by_words = _draw_demands(5, 3, 0.0, 1.0, np.array([state, 0], np.uint32))
+    assert (by_words == _draw_demands(5, 3, 0.0, 1.0, state)).all()
+
+
 def _public_path_rows(config):
     """``run_experiment``'s rows, rebuilt scenario by scenario through the
-    public ``generate_scenario`` -> ``build_bid_matrix`` path."""
+    public ``generate_scenario`` -> ``build_bid_matrix`` path, each seed
+    derived by numpy from the (seed, beam count, replication) tuple."""
     rows = []
     for n_beams in config.beam_counts:
         vcg, greedy = [], []
@@ -270,7 +295,7 @@ def _public_path_rows(config):
                 capacity=config.capacity,
                 demand_low=config.demand_low,
                 demand_high=config.demand_high,
-                seed=_replication_seed(config.rng_seed, n_beams, rep),
+                seed=_tuple_route_seed(config.rng_seed, n_beams, rep),
             )
             bids = build_bid_matrix(scenario)
             order = availability_order(scenario.beams)
