@@ -48,29 +48,25 @@ def greedy_allocate(
         raise ValueError(f"beam_order must be a permutation of 1..{n}, got {order!r}")
 
     served = [j - 1 for j in order[:m]]
-    terms, costs = _greedy(values, served)
+    terms, total = _greedy(values, served)
     pairs = tuple((i + 1, j + 1) for j, i in sorted(zip(served, terms)))
-    return Assignment._trusted(pairs, math.fsum(costs))
+    return Assignment._trusted(pairs, total)
 
 
-def _greedy(values: np.ndarray, served: list[int]) -> tuple[list[int], list]:
+def _greedy(values: np.ndarray, served: list[int]) -> tuple[list[int], float]:
     """The 0-based terminal each of the ``served`` columns takes, in that
-    order, and its bid.
+    order, and the total of their bids.
 
     ``served`` lists distinct 0-based columns, no more than there are
     terminals, in the order the beams are offered.
     """
-    if len(served) < values.shape[1]:  # wide: scan only the served columns
-        first = dict(zip(served, values[:, served].argmin(axis=0).tolist()))
-    else:
-        first = values.argmin(axis=0).tolist()
+    first = values.take(served, axis=1).argmin(axis=0).tolist()
     taken = np.zeros(values.shape[0])  # +inf at each taken terminal
     terms, costs = [], []
-    for j in served:
-        i = first[j]
+    for j, i in zip(served, first):
         if taken[i]:
             i = int((values[:, j] + taken).argmin())
         taken[i] = np.inf
         terms.append(i)
         costs.append(values[i, j])
-    return terms, costs
+    return terms, math.fsum(costs)

@@ -227,7 +227,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             bids = BidMatrix._trusted(np.maximum(0.0, bids, out=bids))
             # The totals determine_winners and greedy_allocate report, from their cores.
             vcg_avg.append(_resum(bids.values, _solve(bids).term) / n_beams)
-            greedy_avg.append(math.fsum(_greedy(bids.values, served)[1]) / n_beams)
+            greedy_avg.append(_greedy(bids.values, served)[1] / n_beams)
     # One mean and one std over every (mechanism, beam count) row.
     avg = np.array([vcg_avg, greedy_avg]).reshape(2, len(counts), reps)
     means, stds = avg.mean(axis=2).tolist(), avg.std(axis=2).tolist()

@@ -79,13 +79,20 @@ class TestGreedyAllocate:
             assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
             assert len(greedy) == min(m, n)
 
-    def test_matches_the_reference_scan_when_one_terminal_is_every_beams_cheapest(self):
+    @pytest.mark.parametrize(
+        "seed, n_range, cases", [(303, (1, 9), 600), (304, (50, 2000), 20)],
+        ids=["square", "wide"],
+    )
+    def test_matches_the_reference_scan_when_one_terminal_is_every_beams_cheapest(
+        self, seed, n_range, cases
+    ):
         # A shared zero row is every beam's first minimum, so each beam after
         # the first finds it taken and scans again; ties make that scan pick
-        # among equal bids, and N > M leaves the last beams unserved.
-        rng = seeded_rng(303)
-        for case in range(600):
-            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        # among equal bids, and N > M leaves the last beams unserved. On the
+        # wide range (N >> M) only the served beams' columns are scanned.
+        rng = seeded_rng(seed)
+        for case in range(cases):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(*n_range))
             draw = draw_tie_heavy_bids if case % 2 else draw_bids
             bids = draw(rng, m, n) + 1.0
             bids[int(rng.integers(m))] = 0.0
@@ -93,20 +100,6 @@ class TestGreedyAllocate:
             greedy = greedy_allocate(bids, order)
             assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
             assert len(greedy) == min(m, n)
-
-    def test_matches_the_reference_scan_on_wide_matrices(self):
-        # N >> M: only the first M beams in the order are served, and only
-        # their columns are scanned; a shared zero row forces rescans.
-        rng = seeded_rng(304)
-        for case in range(20):
-            m, n = int(rng.integers(1, 9)), int(rng.integers(50, 2000))
-            bids = draw_tie_heavy_bids(rng, m, n) + 1.0
-            if case % 2:
-                bids[int(rng.integers(m))] = 0.0
-            order = [int(j) for j in rng.permutation(n) + 1]
-            greedy = greedy_allocate(bids, order)
-            assert (greedy.pairs, greedy.total_cost) == reference_greedy(bids, order)
-            assert len(greedy) == m
 
     def test_rejects_non_permutation_order(self):
         with pytest.raises(ValueError, match="permutation"):
