@@ -205,16 +205,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for key, value in settings.items():
             if value is not None:
                 fields.update(_SIMULATE_SETTINGS[key][0](value))
-        config = ExperimentConfig(**fields)
+        # A bid past the size limit is refused only once it is drawn.
+        report = run_experiment(ExperimentConfig(**fields))
     except (TypeError, ValueError, OverflowError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
 
-    try:  # a bid past the size limit is refused only once it is drawn
-        report = run_experiment(config)
-    except ValueError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 1
     try:
         report.write_csv(args.out)
     except OSError as exc:

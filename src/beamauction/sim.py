@@ -219,12 +219,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         served = list(range(n_beams))  # availability order 1..N, every beam served
         for rep in range(reps):
             seed = _replication_seed(base, n_beams, rep)
-            bids = _draw_demands(config.n_terminals, n_beams, config.demand_low,
-                                 config.demand_high, seed)
-            # max(0, capacity - demand), in the draw's own array. The bounds keep
-            # bids finite and >= 0; _trusted checks the largest against the size limit.
-            np.subtract(config.capacity, bids, out=bids)
-            bids = BidMatrix._trusted(np.maximum(0.0, bids, out=bids))
+            demand = _draw_demands(config.n_terminals, n_beams, config.demand_low,
+                                   config.demand_high, seed)
+            # The bounds keep bids finite and >= 0; _trusted checks the largest
+            # against the size limit.
+            bids = BidMatrix._trusted(np.maximum(0.0, config.capacity - demand))
             # The totals determine_winners and greedy_allocate report, from their cores.
             vcg_avg.append(_resum(bids.values, _solve(bids).term) / n_beams)
             greedy_avg.append(_greedy(bids.values, served)[1] / n_beams)

@@ -489,6 +489,21 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "payment below bid at (" in err
         assert re.search(r"losing pair \(\d,\d\) pays -1\.0", err)
+        # A total that moves with the padding constant fails only that check.
+        def padding_dependent(bids, dummy_cost=None):
+            right = solve(bids, dummy_cost)
+            if dummy_cost is None:
+                return right
+            return Assignment(right.pairs, right.total_cost + 1.0)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "solve_rectangular", padding_dependent)
+        assert main(["verify", "--max-dim", "3", "--cases", "1", "--seed", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "FAIL case 0 (3x1): padding-constant invariance violated\n"
+        )
+        assert captured.out == "0/1 passed\n"
 
     def test_auction_payments_are_checked(self, monkeypatch, capsys):
         # The payments ``solve --payments`` prints come from ``run_auction``,
