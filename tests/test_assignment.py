@@ -537,7 +537,7 @@ class TestTieBreakSkip:
         assert len(calls) == candidate
 
     def test_the_default_sweep_runs_at_most_131_tie_breaks(self):
-        # 700 solves of 30 terminals by 2..8 beams; the rule above runs the
+        # 218 solves of 30 terminals by 2..8 beams; the rule above runs the
         # tie-break on 131 of them, and a more conservative check runs more.
         from beamauction import ExperimentConfig, run_experiment
 

@@ -1,9 +1,12 @@
 """Scenario generation and the VCG-vs-greedy sweep."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from beamauction import (
     ConfigurationError,
@@ -16,6 +19,7 @@ from beamauction import (
     greedy_allocate,
     run_experiment,
 )
+from beamauction import sim
 from beamauction.sim import REPORT_HEADER, _draw_demands, _replication_seed, _words
 
 DRAW_FIELDS = ("capacity", "demand_low", "demand_high")
@@ -326,13 +330,101 @@ def _public_path_rows(config):
         dict(replications=1, rng_seed=7),
         # Longer than numpy's 128-element pairwise-summation block.
         dict(n_terminals=4, beam_counts=(2, 3), replications=300),
+        # Bids within 140 ulp of each other: on 2 of the 11 replications that
+        # take the bound, the tie-break moves the pairs off the first minima.
+        dict(demand_low=100.0, demand_high=100.0 + 1e-12, replications=3),
+        dict(n_terminals=200, beam_counts=(2, 3), replications=5),
     ],
     ids=["defaults", "every-bid-ties", "zero-clamped", "capacity", "m-equals-n",
-         "one-rep", "long-rows"],
+         "one-rep", "long-rows", "near-ties", "wide-pool"],
 )
 def test_sweep_rows_equal_the_public_scenario_path(settings):
     config = ExperimentConfig(**settings)
     assert run_experiment(config).rows == _public_path_rows(config)
+
+
+def test_the_default_sweep_solves_only_where_first_minima_repeat(monkeypatch):
+    # 218 of its 700 replications; the others take the row-minimum bound.
+    solve, greedy = sim._solve, sim._greedy
+    solved, allocated = [], []
+
+    def counted_solve(bids):
+        solved.append(bids.values)
+        return solve(bids)
+
+    def counted_greedy(values, served):
+        allocated.append(values)
+        return greedy(values, served)
+
+    monkeypatch.setattr(sim, "_solve", counted_solve)
+    monkeypatch.setattr(sim, "_greedy", counted_greedy)
+    config = ExperimentConfig()
+    run_experiment(config)
+    repeats = []
+    for n_beams in config.beam_counts:
+        for rep in range(config.replications):
+            seed = _tuple_route_seed(config.rng_seed, n_beams, rep)
+            demand = _draw_demands(config.n_terminals, n_beams, config.demand_low,
+                                   config.demand_high, seed)
+            bids = np.maximum(0.0, config.capacity - demand)
+            if len(set(bids.argmin(axis=0).tolist())) < n_beams:
+                repeats.append(bids)
+    assert len(repeats) == 218
+    for seen in (solved, allocated):
+        assert len(seen) == len(repeats)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, repeats))
+
+
+ULP = 2.0**-52  # ulp(1.0)
+BOUND_CLASSES = [
+    st.floats(0.0, 150.0),  # continuous
+    st.integers(50, 150).map(lambda demand: 150.0 - demand),  # whole Mbps
+    st.integers(0, 3).map(float),
+    st.tuples(st.integers(1, 3), st.integers(0, 3)).map(  # near-ties
+        lambda xk: xk[0] * (1 + xk[1] * ULP)
+    ),
+]
+
+# Beam 1's first minimum is terminal 2 and beam 2's is terminal 1, a total
+# of 2 + 4 ulp(1). The diagonal sums to 2 + 5 ulp(1) exactly, which rounds
+# to the same total, so the tie-break takes it.
+LEX_SWAP_NEAR_TIE = np.array(
+    [[1 + 2 * ULP, 1 + 3 * ULP], [1 + ULP, 1 + 3 * ULP]]
+)
+
+
+@st.composite
+def distinct_first_minima(draw):
+    """An M x N bid matrix, M >= N, from one value class, whose beams'
+    first minima are N different terminals."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 8))
+    cell = draw(st.sampled_from(BOUND_CLASSES))
+    bids = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    assume(len(set(bids.argmin(axis=0).tolist())) == n)
+    return bids
+
+
+class TestRowMinimumBound:
+    """Where every beam's first minimum is a different terminal, both
+    mechanisms total the ``fsum`` of those minima, which the sweep reads."""
+
+    @given(distinct_first_minima())
+    @example(LEX_SWAP_NEAR_TIE)
+    @settings(max_examples=400, deadline=None)
+    def test_both_totals_are_the_fsum_of_the_first_minima(self, bids):
+        n = bids.shape[1]
+        first = bids.argmin(axis=0).tolist()
+        vcg = determine_winners(bids).total_cost
+        greedy = greedy_allocate(bids, range(1, n + 1)).total_cost
+        assert vcg == greedy == math.fsum(bids[first, range(n)])
+
+    def test_the_tie_break_can_move_the_pairs_but_not_the_total(self):
+        winners = determine_winners(LEX_SWAP_NEAR_TIE)
+        greedy = greedy_allocate(LEX_SWAP_NEAR_TIE, [1, 2])
+        assert greedy.pairs == ((2, 1), (1, 2))  # the first minima
+        assert winners.pairs == ((1, 1), (2, 2))
+        assert winners.total_cost == greedy.total_cost == 2 + 4 * ULP
 
 
 class TestReportCsv:
